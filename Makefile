@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench benchsmoke examples-smoke docs-check chaos ci
+.PHONY: all build vet test race bench benchsmoke examples-smoke docs-check chaos perfbench-test ci
 
 all: ci
 
@@ -87,5 +87,11 @@ chaos:
 		-run 'TestChaos|TestNetChaos|TestClusterChaos|TestWALFaultMatrix|TestBackgroundFlush|TestSupervision|TestCheckpointMetaFault|TestHistoryPageWriteFault' \
 		./internal/core ./internal/storage ./internal/p2p
 
+# perfbench-test vets and race-tests the benchmark harness itself. It
+# is a Go module of its own (perfbench/go.mod), so the root ./...
+# patterns never reach it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -race ./...
+
 # ci is the tier-1 gate: everything a fresh clone must pass.
-ci: vet build race benchsmoke examples-smoke docs-check chaos
+ci: vet build race benchsmoke examples-smoke docs-check chaos perfbench-test

@@ -466,7 +466,7 @@ func BenchmarkClientQueries(b *testing.B) {
 // grouped rollups (the PR 5 tentpole): 1,000 registered GROUP BY
 // client queries (mixed unique/duplicate, ~100 live groups) against a
 // count-1000 window with a round-robin room key. The compiled grouped
-// bound-program tier plus the GroupedAggMaintainer must beat the
+// bound-program tier plus the grouped AggMaintainer must beat the
 // serial interpreted strategy by >=5x.
 func BenchmarkClientQueriesGrouped(b *testing.B) {
 	const window = 1000
@@ -611,11 +611,11 @@ func BenchmarkTriggerPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		specs := plan.Incremental()
-		if specs == nil {
+		prog := plan.Incremental()
+		if prog == nil {
 			b.Fatal("benchmark query should be incrementally maintainable")
 		}
-		m := sqlengine.NewAggMaintainer(specs)
+		m := sqlengine.NewAggMaintainer(prog)
 		table.SetObserver(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

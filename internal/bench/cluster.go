@@ -287,7 +287,7 @@ func runClusterCell(cfg ClusterConfig, workers, rows int) (ClusterPoint, error) 
 			return point, fmt.Errorf("bench: grouped query returned %d groups, want %d", len(rel.Rows), cfg.Rooms)
 		}
 	}
-	point.QueryMS = float64(time.Since(begin).Milliseconds()) / float64(cfg.Queries)
+	point.QueryMS = float64(time.Since(begin)) / float64(time.Millisecond) / float64(cfg.Queries)
 	after := coord.fed.Info()
 	if after.UnionBytes != before.UnionBytes {
 		return point, fmt.Errorf("bench: grouped query took the union fallback")

@@ -88,41 +88,25 @@ type queryGroup struct {
 	// schema at Register time; nil when the shape needs the full
 	// engine (joins, subqueries, other tables).
 	plan *sqlengine.Plan
-	// agg incrementally maintains an aggregate-only plan — ungrouped
-	// (AggMaintainer) or grouped (GroupedAggMaintainer) — via the
-	// output table's observer hook; nil unless the shape and the
-	// window qualify.
-	agg incMaintainer
+	// agg incrementally maintains an aggregate-only plan, grouped or
+	// not, via the output table's observer hook; nil unless the shape
+	// and the window qualify.
+	agg *sqlengine.AggMaintainer
 
 	subs map[int64]*ClientQuery
 }
 
-// incMaintainer is the common surface of the incremental serving tier:
-// a table observer whose Result materialises the maintained relation
-// in O(output), or nil when poisoned. *sqlengine.AggMaintainer and
-// *sqlengine.GroupedAggMaintainer implement it.
-type incMaintainer interface {
-	storage.Observer
-	Result() *sqlengine.Relation
-	NeedsResync() bool
-}
-
-// newIncMaintainer builds the incremental maintainer matching the
-// plan's shape — ungrouped or grouped aggregate-only — or nil. Only
-// count windows qualify: time-window eviction is clock-driven and the
-// observer hooks fire on access, so the maintained state could lag the
-// queried instant. schema is the window table's element schema.
-func newIncMaintainer(plan *sqlengine.Plan, window stream.Window, schema *stream.Schema) incMaintainer {
-	if window.Kind != stream.CountWindow {
+// newAggMaintainer builds the incremental maintainer for an
+// aggregate-only plan, or nil. Only count windows qualify: time-window
+// eviction is clock-driven and the observer hooks fire on access, so
+// the maintained state could lag the queried instant. schema is the
+// window table's element schema.
+func newAggMaintainer(plan *sqlengine.Plan, window stream.Window, schema *stream.Schema) *sqlengine.AggMaintainer {
+	prog := plan.Incremental()
+	if window.Kind != stream.CountWindow || prog == nil || groupedKeysApproximate(prog, schema) {
 		return nil
 	}
-	if inc := plan.Incremental(); inc != nil {
-		return sqlengine.NewAggMaintainer(inc)
-	}
-	if ginc := plan.IncrementalGrouped(); ginc != nil && !groupedKeysApproximate(ginc, schema) {
-		return sqlengine.NewGroupedAggMaintainer(ginc)
-	}
-	return nil
+	return sqlengine.NewAggMaintainer(prog)
 }
 
 // groupedKeysApproximate reports whether any group key is a float
@@ -132,7 +116,7 @@ func newIncMaintainer(plan *sqlengine.Plan, window stream.Window, schema *stream
 // float-keyed rollup could diverge byte-wise after eviction. Such
 // shapes stay on the compiled tier, which rescans. (The implicit TIMED
 // key, index == schema length, is an int.)
-func groupedKeysApproximate(prog *sqlengine.GroupedIncProgram, schema *stream.Schema) bool {
+func groupedKeysApproximate(prog *sqlengine.IncProgram, schema *stream.Schema) bool {
 	fields := schema.Fields()
 	for _, col := range prog.Keys {
 		if col < len(fields) && fields[col].Type == stream.TypeFloat {
@@ -327,7 +311,7 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 			if plan, err := sqlengine.Compile(stmt,
 				sqlengine.ColumnsOfSchema(sq.out.Schema()), canonical); err == nil {
 				g.plan = plan
-				g.agg = newIncMaintainer(plan, sq.out.Window(), sq.out.Schema())
+				g.agg = newAggMaintainer(plan, sq.out.Window(), sq.out.Schema())
 			}
 		}
 		sq.groups[sql] = g

@@ -473,16 +473,16 @@ func TestFloatGroupKeysStayCompiled(t *testing.T) {
 		}
 		return plan
 	}
-	if m := newIncMaintainer(compile("select fk, count(*) as n from t group by fk"), window, schema); m != nil {
+	if m := newAggMaintainer(compile("select fk, count(*) as n from t group by fk"), window, schema); m != nil {
 		t.Error("float group key must stay on the compiled tier")
 	}
-	if m := newIncMaintainer(compile("select ik, fk, count(*) as n from t group by ik, fk"), window, schema); m != nil {
+	if m := newAggMaintainer(compile("select ik, fk, count(*) as n from t group by ik, fk"), window, schema); m != nil {
 		t.Error("mixed keys with a float column must stay on the compiled tier")
 	}
-	if m := newIncMaintainer(compile("select ik, avg(fk) as a from t group by ik"), window, schema); m == nil {
+	if m := newAggMaintainer(compile("select ik, avg(fk) as a from t group by ik"), window, schema); m == nil {
 		t.Error("integer group key (float only as aggregate input) should qualify")
 	}
-	if m := newIncMaintainer(compile("select ik, timed, count(*) as n from t group by ik, timed"), window, schema); m == nil {
+	if m := newAggMaintainer(compile("select ik, timed, count(*) as n from t group by ik, timed"), window, schema); m == nil {
 		t.Error("TIMED group key is an int and should qualify")
 	}
 }

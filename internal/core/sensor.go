@@ -78,7 +78,7 @@ type sourceRuntime struct {
 	// agg incrementally maintains an aggregate-only source query —
 	// ungrouped or grouped (GROUP BY rollup) — over the count window;
 	// nil when the query or window does not qualify.
-	agg incMaintainer
+	agg *sqlengine.AggMaintainer
 
 	sampler *quality.Sampler
 	repair  *quality.Repairer
@@ -342,7 +342,7 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 	if plan, err := sqlengine.Compile(stmt, sqlengine.ColumnsOfSchema(w.Schema()),
 		vsensor.WrapperTable(), spec.Alias); err == nil {
 		src.plan = plan
-		if src.agg = newIncMaintainer(plan, window, w.Schema()); src.agg != nil {
+		if src.agg = newAggMaintainer(plan, window, w.Schema()); src.agg != nil {
 			table.SetObserver(src.agg)
 		}
 	}

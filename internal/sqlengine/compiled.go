@@ -720,7 +720,7 @@ func (prog *boundProgram) runGrouped(p *Plan, rows [][]stream.Value,
 	newGroup := func(rep []stream.Value) *boundGroup {
 		g := &boundGroup{rep: rep, states: make([]aggState, len(prog.aggs))}
 		for i, a := range prog.aggs {
-			g.states[i] = aggState{kind: a.kind, distinct: a.distinct, intOnly: true}
+			g.states[i] = aggState{kind: a.kind, distinct: a.distinct}
 		}
 		order = append(order, g)
 		return g

@@ -360,7 +360,7 @@ type group struct {
 func newGroup(rep []stream.Value, aggs []*sqlparser.FuncCall) *group {
 	g := &group{rep: rep, states: make([]*aggState, len(aggs))}
 	for i, a := range aggs {
-		g.states[i] = newAggState(aggKinds[a.Name], a.Distinct)
+		g.states[i] = &aggState{kind: aggKinds[a.Name], distinct: a.Distinct}
 	}
 	return g
 }

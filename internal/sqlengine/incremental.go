@@ -7,29 +7,45 @@ import (
 	"gsn/internal/stream"
 )
 
-// AggMaintainer incrementally maintains the aggregates of a compiled
-// aggregate-only plan over a sliding window, so the dominant
-// `SELECT agg(col) FROM wrapper` trigger shape is O(aggregates) per
-// evaluation instead of O(window). It implements storage.Observer: the
-// table invokes OnInsert/OnEvict/OnTruncate under its own lock and in
-// arrival (FIFO) order; Result is called from the trigger workers, so
-// the maintainer carries its own mutex.
+// AggMaintainer incrementally maintains an aggregate-only plan —
+// SELECT [key...,] agg(col)... FROM w [GROUP BY key...] (see
+// IncProgram) — over a sliding count window, so the dominant trigger
+// shapes cost O(keys + aggregates) per arrival instead of O(window) per
+// evaluation. Each group holds one aggState per aggregate, the same
+// accumulator every other tier folds with, and evicts expired inputs
+// from it. It implements storage.Observer: the table invokes
+// OnInsert/OnEvict/OnTruncate under its own lock and in arrival (FIFO)
+// order; Result is called from the trigger workers, so the maintainer
+// carries its own mutex.
 //
-// COUNT/SUM/AVG subtract evicted inputs; MIN/MAX keep the classic
-// sliding-window monotonic deque; LAST keeps a FIFO of non-NULL inputs.
-// A value the aggregate cannot digest (non-numeric SUM input,
+// Without GROUP BY the one group is held directly (no key hashing) and
+// Result is its one row — COUNT 0 and NULLs over an empty window. With
+// GROUP BY, groups hash on the encoded key vector and each keeps a FIFO
+// of its live rows' arrival sequences, so group membership and the
+// first-seen output order the interpreter produces survive eviction
+// exactly; Result is O(output), and an empty window yields no rows.
+//
+// A value an aggregate cannot digest (non-numeric SUM input,
 // incomparable MIN operands) poisons the maintainer: Result returns nil
 // from then on and the caller falls back to full plan execution, which
 // reports the error through the normal path.
+//
+// Result projects each group's key values as captured when the group
+// was first seen, while a window rescan projects the oldest live
+// row's. The two can differ only when distinct key representations
+// compare equal — float -0.0 vs +0.0 — so callers wanting byte identity
+// with the scanning tiers must not attach a maintainer to a plan whose
+// group keys are float columns (the container enforces that).
 type AggMaintainer struct {
-	specs []IncAggSpec
-	cols  []Column
+	prog *IncProgram
 
-	mu     sync.Mutex
-	states []incState
-	broken bool
-	seq    uint64 // next insert sequence number
-	headSq uint64 // sequence number of the next eviction (FIFO)
+	mu      sync.Mutex
+	single  *incGroup            // the group of a program without keys
+	groups  map[string]*incGroup // keyed programs: live groups by encoded key
+	broken  bool
+	seq     uint64         // next insert sequence number (keyed programs)
+	keysBuf []stream.Value // scratch key vector, guarded by mu
+	keyBuf  []byte         // scratch encoded key, guarded by mu
 
 	// floatEvicts counts evicted float SUM/AVG inputs since the last
 	// rebuild. Subtract-on-evict float maintenance accumulates rounding
@@ -44,143 +60,104 @@ type AggMaintainer struct {
 // per this many evicted float inputs keeps amortised maintenance O(1).
 const resyncFloatEvery = 65536
 
-// seqValue is one deque entry: the arrival sequence of the element it
-// came from, and the aggregate input value.
-type seqValue struct {
-	seq uint64
-	v   stream.Value
+// incGroup is the live state of one group-key vector.
+type incGroup struct {
+	keys   []stream.Value // the group's key values, in GROUP BY order
+	seqs   []uint64       // arrival sequences of the live rows (FIFO); keyed programs only
+	states []aggState
 }
 
-// incState is the running state of one aggregate column.
-type incState struct {
-	count  int64 // non-NULL inputs (all rows for COUNT(*))
-	intSum int64
-	fSum   float64
-	nFloat int64
-	deque  []seqValue // MIN/MAX monotonic deque, or LAST FIFO
+// newGroup allocates a group's accumulators; sliding ones can evict.
+func (prog *IncProgram) newGroup(keys []stream.Value, sliding bool) *incGroup {
+	g := &incGroup{keys: keys, states: make([]aggState, len(prog.aggs))}
+	for i, a := range prog.aggs {
+		g.states[i].kind = a.kind
+		if sliding && (a.kind == aggMin || a.kind == aggMax) {
+			g.states[i].win = &slideWin{}
+		}
+	}
+	return g
 }
 
-// insert folds one arriving input value into the state. v is the
-// aggregate argument (nil for SQL NULL; ignored except by COUNT(*),
-// which passes spec.Col < 0 and no value). seq is the element's arrival
-// sequence. It returns false when the value poisons the state (the
-// owner falls back to full plan execution, which reports the error).
-func (st *incState) insert(spec *IncAggSpec, v stream.Value, seq uint64) bool {
-	if spec.Col < 0 { // COUNT(*)
-		st.count++
-		return true
-	}
-	if v == nil {
-		return true // SQL aggregates ignore NULLs
-	}
-	st.count++
-	switch spec.Kind {
-	case IncSum, IncAvg:
-		switch x := v.(type) {
-		case int64:
-			st.intSum += x
-		case float64:
-			st.fSum += x
-			st.nFloat++
-		default:
-			return false
+// fold adds one element's aggregate inputs to the group's states, or
+// evicts them. It returns how many float SUM/AVG inputs it evicted: the
+// drift NeedsResync bounds.
+func (prog *IncProgram) fold(g *incGroup, e stream.Element, evict bool) (floatEvicts uint64, err error) {
+	for i, a := range prog.aggs {
+		var v stream.Value = int64(1) // COUNT(*) counts rows, NULLs included
+		if a.col >= 0 {
+			v = inputValue(e, a.col)
 		}
-	case IncMin, IncMax:
-		want := -1 // MIN keeps an increasing deque: pop backs >= v
-		if spec.Kind == IncMax {
-			want = 1 // MAX keeps a decreasing deque: pop backs <= v
-		}
-		for len(st.deque) > 0 {
-			c, known, err := compare(st.deque[len(st.deque)-1].v, v)
-			if err != nil || !known {
-				return false
+		if !evict {
+			err = g.states[i].add(v)
+		} else if err = g.states[i].evict(v); err == nil {
+			if _, isFloat := v.(float64); (a.kind == aggSum || a.kind == aggAvg) && isFloat {
+				floatEvicts++
 			}
-			if c*want > 0 {
-				break
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	return floatEvicts, nil
+}
+
+// relation projects the groups, in order, into the output layout.
+func (prog *IncProgram) relation(groups []*incGroup) *Relation {
+	rows := make([][]stream.Value, len(groups))
+	for r, g := range groups {
+		row := make([]stream.Value, len(prog.proj))
+		for i, slot := range prog.proj {
+			if slot.key {
+				row[i] = g.keys[slot.idx]
+			} else {
+				row[i] = g.states[slot.idx].result()
 			}
-			st.deque = st.deque[:len(st.deque)-1]
 		}
-		st.deque = append(st.deque, seqValue{seq: seq, v: v})
-	case IncLast:
-		st.deque = append(st.deque, seqValue{seq: seq, v: v})
+		rows[r] = row
 	}
-	return true
+	return &Relation{Cols: prog.cols, Rows: rows}
 }
 
-// evict subtracts one evicted input value. seq is the arrival sequence
-// the value carried on insert; floatEvicts is bumped for evicted float
-// SUM/AVG inputs so the owner can bound rounding drift (NeedsResync).
-// It returns false when the value poisons the state.
-func (st *incState) evict(spec *IncAggSpec, v stream.Value, seq uint64, floatEvicts *uint64) bool {
-	if spec.Col < 0 {
-		st.count--
-		return true
+// inputValue extracts an input column from an element, mapping the
+// implicit TIMED column (index == element length) to the timestamp.
+func inputValue(e stream.Element, col int) stream.Value {
+	if col == e.Len() {
+		return int64(e.Timestamp())
 	}
-	if v == nil {
-		return true
-	}
-	st.count--
-	switch spec.Kind {
-	case IncSum, IncAvg:
-		switch x := v.(type) {
-		case int64:
-			st.intSum -= x
-		case float64:
-			st.fSum -= x
-			st.nFloat--
-			*floatEvicts++
-		default:
-			return false
-		}
-	case IncMin, IncMax, IncLast:
-		if len(st.deque) > 0 && st.deque[0].seq == seq {
-			st.deque = st.deque[1:]
-		}
-	}
-	return true
-}
-
-// result finalises the aggregate value. Empty-state semantics match
-// aggState: COUNT is 0, the rest are NULL.
-func (st *incState) result(kind IncAggKind) stream.Value {
-	switch kind {
-	case IncCount:
-		return st.count
-	case IncSum:
-		if st.count == 0 {
-			return nil
-		}
-		if st.nFloat == 0 {
-			return st.intSum
-		}
-		return float64(st.intSum) + st.fSum
-	case IncAvg:
-		if st.count == 0 {
-			return nil
-		}
-		return (float64(st.intSum) + st.fSum) / float64(st.count)
-	case IncMin, IncMax:
-		if len(st.deque) > 0 {
-			return st.deque[0].v
-		}
-		return nil
-	case IncLast:
-		if len(st.deque) > 0 {
-			return st.deque[len(st.deque)-1].v
-		}
-		return nil
-	}
-	return nil
+	return e.Value(col)
 }
 
 // NewAggMaintainer builds a maintainer for a plan's incremental program
 // (Plan.Incremental).
-func NewAggMaintainer(specs []IncAggSpec) *AggMaintainer {
-	cols := make([]Column, len(specs))
-	for i, s := range specs {
-		cols[i] = s.Out
+func NewAggMaintainer(prog *IncProgram) *AggMaintainer {
+	m := &AggMaintainer{prog: prog, keysBuf: make([]stream.Value, len(prog.Keys))}
+	m.reset()
+	return m
+}
+
+// reset empties the maintained state (callers hold mu, or own m).
+func (m *AggMaintainer) reset() {
+	if len(m.prog.Keys) == 0 {
+		m.single = m.prog.newGroup(nil, true)
+	} else {
+		m.groups = make(map[string]*incGroup)
 	}
-	return &AggMaintainer{specs: specs, cols: cols, states: make([]incState, len(specs))}
+	m.seq = 0
+	m.broken = false
+	m.floatEvicts = 0
+}
+
+// encodeGroupKey fills the scratch key vector from the element and
+// encodes it into the scratch byte buffer (callers hold mu). Lookups
+// via groups[string(m.keyBuf)] compile without a string allocation —
+// these run per element on the ingest path, under the table lock — so
+// the key string is materialised only on first sight of a group.
+func (m *AggMaintainer) encodeGroupKey(e stream.Element) {
+	for i, col := range m.prog.Keys {
+		m.keysBuf[i] = inputValue(e, col)
+	}
+	m.keyBuf = appendRowKey(m.keyBuf[:0], m.keysBuf)
 }
 
 // OnInsert implements storage.Observer.
@@ -190,57 +167,56 @@ func (m *AggMaintainer) OnInsert(e stream.Element) {
 	if m.broken {
 		return
 	}
-	seq := m.seq
-	m.seq++
-	for i := range m.specs {
-		spec := &m.specs[i]
-		var v stream.Value
-		if spec.Col >= 0 {
-			v = inputValue(e, spec.Col)
+	g := m.single
+	if g == nil {
+		m.encodeGroupKey(e)
+		if g = m.groups[string(m.keyBuf)]; g == nil {
+			g = m.prog.newGroup(append([]stream.Value(nil), m.keysBuf...), true)
+			m.groups[string(m.keyBuf)] = g
 		}
-		if !m.states[i].insert(spec, v, seq) {
-			m.broken = true
-			return
-		}
+		g.seqs = append(g.seqs, m.seq)
+		m.seq++
+	}
+	if _, err := m.prog.fold(g, e, false); err != nil {
+		m.broken = true
 	}
 }
 
-// OnEvict implements storage.Observer. Eviction order is the table's
-// arrival order, so the evicted element always carries the sequence
-// number at the head.
+// OnEvict implements storage.Observer. The table evicts in arrival
+// order, so the evicted element is always its group's oldest live row.
 func (m *AggMaintainer) OnEvict(e stream.Element) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.broken {
 		return
 	}
-	seq := m.headSq
-	m.headSq++
-	for i := range m.specs {
-		spec := &m.specs[i]
-		var v stream.Value
-		if spec.Col >= 0 {
-			v = inputValue(e, spec.Col)
-		}
-		if !m.states[i].evict(spec, v, seq, &m.floatEvicts) {
+	g := m.single
+	if g == nil {
+		m.encodeGroupKey(e)
+		if g = m.groups[string(m.keyBuf)]; g == nil {
+			// An eviction we never saw inserted: the observer was
+			// attached mid-window without a replay. Poison rather than
+			// drift.
 			m.broken = true
 			return
 		}
+		if g.seqs = g.seqs[1:]; len(g.seqs) == 0 {
+			delete(m.groups, string(m.keyBuf))
+		}
+	}
+	n, err := m.prog.fold(g, e, true)
+	m.floatEvicts += n
+	if err != nil {
+		m.broken = true
 	}
 }
 
 // OnTruncate implements storage.Observer: the window was cleared, so
-// every running aggregate restarts empty.
+// every aggregate restarts empty.
 func (m *AggMaintainer) OnTruncate() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range m.states {
-		m.states[i] = incState{}
-	}
-	m.seq = 0
-	m.headSq = 0
-	m.broken = false
-	m.floatEvicts = 0
+	m.reset()
 }
 
 // NeedsResync reports that enough float inputs have been subtracted
@@ -252,210 +228,24 @@ func (m *AggMaintainer) NeedsResync() bool {
 	return m.floatEvicts >= resyncFloatEvery
 }
 
-// inputValue extracts the aggregate input column from an element,
-// mapping the implicit TIMED column (index == element length) to the
-// timestamp.
-func inputValue(e stream.Element, col int) stream.Value {
-	if col == e.Len() {
-		return int64(e.Timestamp())
-	}
-	return e.Value(col)
-}
-
-// Result builds the single-row aggregate relation, or nil when the
-// maintainer is poisoned and the caller must fall back to full
-// execution. Empty-window semantics match aggState: COUNT is 0, the
-// rest are NULL.
+// Result builds the maintained relation — without GROUP BY its one
+// row, with GROUP BY one row per live group ordered by each group's
+// oldest live row (exactly the first-seen order a window scan
+// produces) — or nil when the maintainer is poisoned and the caller
+// must fall back to full execution.
 func (m *AggMaintainer) Result() *Relation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.broken {
 		return nil
 	}
-	row := make([]stream.Value, len(m.specs))
-	for i := range m.specs {
-		row[i] = m.states[i].result(m.specs[i].Kind)
-	}
-	return &Relation{Cols: m.cols, Rows: [][]stream.Value{row}}
-}
-
-// GroupedAggMaintainer incrementally maintains a grouped aggregate-only
-// plan (SELECT key..., agg(col)... FROM w GROUP BY key...) over a
-// sliding count window: one hash bucket per live group-key vector, each
-// holding the same incState machinery AggMaintainer uses per aggregate,
-// plus a FIFO of the group's live row sequences so group membership —
-// and the first-seen output order the interpreter produces — survives
-// eviction exactly. Insert and evict are O(group keys + aggregates);
-// Result is O(output), independent of the window size.
-//
-// It implements storage.Observer with the same contract as
-// AggMaintainer: table callbacks arrive under the table lock in arrival
-// (FIFO) order, Result carries its own mutex, and an input the
-// aggregates cannot digest poisons the maintainer (Result returns nil,
-// the caller falls back to full plan execution which reports the
-// error).
-//
-// Result projects each group's key values as captured when the group
-// was first seen, while a window rescan projects the oldest live
-// row's. The two can differ only when distinct key representations
-// compare equal — float -0.0 vs +0.0 — so callers wanting byte
-// identity with the scanning tiers must not attach this maintainer to
-// plans whose group keys are float columns (the container's
-// newIncMaintainer enforces that).
-type GroupedAggMaintainer struct {
-	prog *GroupedIncProgram
-
-	mu      sync.Mutex
-	groups  map[string]*incGroup
-	broken  bool
-	seq     uint64         // next insert sequence number
-	keysBuf []stream.Value // scratch key vector, guarded by mu
-	keyBuf  []byte         // scratch encoded key, guarded by mu
-
-	floatEvicts uint64 // see AggMaintainer.floatEvicts
-}
-
-// incGroup is the live state of one group-key vector.
-type incGroup struct {
-	keys   []stream.Value // the group's key values, in GROUP BY order
-	seqs   []uint64       // arrival sequences of the group's live rows (FIFO)
-	states []incState
-}
-
-// NewGroupedAggMaintainer builds a maintainer for a plan's grouped
-// incremental program (Plan.IncrementalGrouped).
-func NewGroupedAggMaintainer(prog *GroupedIncProgram) *GroupedAggMaintainer {
-	return &GroupedAggMaintainer{
-		prog:    prog,
-		groups:  make(map[string]*incGroup),
-		keysBuf: make([]stream.Value, len(prog.Keys)),
-	}
-}
-
-// encodeGroupKey fills the scratch key vector from the element and
-// encodes it into the scratch byte buffer (callers hold mu). Lookups
-// via groups[string(m.keyBuf)] compile without a string allocation —
-// these run per element on the ingest path, under the table lock — so
-// the key string is materialised only on first sight of a group.
-func (m *GroupedAggMaintainer) encodeGroupKey(e stream.Element) {
-	for i, col := range m.prog.Keys {
-		m.keysBuf[i] = inputValue(e, col)
-	}
-	m.keyBuf = appendRowKey(m.keyBuf[:0], m.keysBuf)
-}
-
-// OnInsert implements storage.Observer.
-func (m *GroupedAggMaintainer) OnInsert(e stream.Element) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.broken {
-		return
-	}
-	seq := m.seq
-	m.seq++
-	m.encodeGroupKey(e)
-	g := m.groups[string(m.keyBuf)]
-	if g == nil {
-		g = &incGroup{
-			keys:   append([]stream.Value(nil), m.keysBuf...),
-			states: make([]incState, len(m.prog.Aggs)),
-		}
-		m.groups[string(m.keyBuf)] = g
-	}
-	g.seqs = append(g.seqs, seq)
-	for i := range m.prog.Aggs {
-		spec := &m.prog.Aggs[i]
-		var v stream.Value
-		if spec.Col >= 0 {
-			v = inputValue(e, spec.Col)
-		}
-		if !g.states[i].insert(spec, v, seq) {
-			m.broken = true
-			return
-		}
-	}
-}
-
-// OnEvict implements storage.Observer. The table evicts in arrival
-// order, so the evicted element is always its group's oldest live row.
-func (m *GroupedAggMaintainer) OnEvict(e stream.Element) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.broken {
-		return
-	}
-	m.encodeGroupKey(e)
-	g := m.groups[string(m.keyBuf)]
-	if g == nil || len(g.seqs) == 0 {
-		// An eviction we never saw inserted: the observer was attached
-		// mid-window without a replay. Poison rather than drift.
-		m.broken = true
-		return
-	}
-	seq := g.seqs[0]
-	g.seqs = g.seqs[1:]
-	for i := range m.prog.Aggs {
-		spec := &m.prog.Aggs[i]
-		var v stream.Value
-		if spec.Col >= 0 {
-			v = inputValue(e, spec.Col)
-		}
-		if !g.states[i].evict(spec, v, seq, &m.floatEvicts) {
-			m.broken = true
-			return
-		}
-	}
-	if len(g.seqs) == 0 {
-		delete(m.groups, string(m.keyBuf))
-	}
-}
-
-// OnTruncate implements storage.Observer: the window was cleared, so
-// every group restarts empty.
-func (m *GroupedAggMaintainer) OnTruncate() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.groups = make(map[string]*incGroup)
-	m.seq = 0
-	m.broken = false
-	m.floatEvicts = 0
-}
-
-// NeedsResync mirrors AggMaintainer.NeedsResync: enough float inputs
-// have been subtracted out that the owner should rebuild the state from
-// the live window.
-func (m *GroupedAggMaintainer) NeedsResync() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.floatEvicts >= resyncFloatEvery
-}
-
-// Result builds the grouped aggregate relation — one row per live
-// group, ordered by each group's oldest live row (exactly the
-// first-seen order a window scan produces) — or nil when the maintainer
-// is poisoned. A GROUP BY over an empty window yields no rows, per SQL.
-func (m *GroupedAggMaintainer) Result() *Relation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.broken {
-		return nil
+	if m.single != nil {
+		return m.prog.relation([]*incGroup{m.single})
 	}
 	ordered := make([]*incGroup, 0, len(m.groups))
 	for _, g := range m.groups {
 		ordered = append(ordered, g)
 	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seqs[0] < ordered[j].seqs[0] })
-	rows := make([][]stream.Value, len(ordered))
-	for r, g := range ordered {
-		row := make([]stream.Value, len(m.prog.Proj))
-		for i, slot := range m.prog.Proj {
-			if slot.Key {
-				row[i] = g.keys[slot.Idx]
-			} else {
-				row[i] = g.states[slot.Idx].result(m.prog.Aggs[slot.Idx].Kind)
-			}
-		}
-		rows[r] = row
-	}
-	return &Relation{Cols: m.prog.Cols, Rows: rows}
+	return m.prog.relation(ordered)
 }

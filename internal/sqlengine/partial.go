@@ -18,28 +18,32 @@ import (
 // which PR 5's equivalence suite pins byte-identical to the compiled
 // tiers.
 //
-// Caveat the property tests respect: float SUM/AVG/STDDEV merge as
-// (Σ part₀) + (Σ part₁), which equals the union's left-fold only when
-// the additions are exact (integers, dyadic fractions); for general
-// floats the distributed result is the usual floating-point
-// re-association, not a bit-for-bit replay.
+// Integer SUM/AVG merge exactly (the two-word sums add), so a
+// federated integer aggregate equals the single-node one. Float
+// SUM/AVG/STDDEV merge as (Σ part₀) + (Σ part₁), which equals the
+// union's left-fold only when the additions are exact (integers,
+// dyadic fractions); for general floats the distributed result is the
+// usual floating-point re-association, not a bit-for-bit replay — the
+// same bounded drift the incremental tier's subtract-on-evict float
+// sums carry.
 
 // AggPartial is one aggregate accumulator's mergeable snapshot — the
-// wire form of aggState. Count/IntSum/Sum/SumSq merge additively,
-// Min/Max by comparison, First/Last by part order, IntOnly by AND.
-// DISTINCT aggregates have no mergeable form (their dedup sets live
-// node-side); Distributable excludes them.
+// wire form of aggState. Count, the two-word integer sum
+// (IntHi:IntLo), Floats, FloatSum and SumSq merge additively, Min/Max
+// by comparison, First/Last by part order. DISTINCT aggregates have no
+// mergeable form (their dedup sets live node-side); Distributable
+// excludes them.
 type AggPartial struct {
-	Count   int64            `json:"count"`
-	IntSum  int64            `json:"int_sum"`
-	Sum     float64          `json:"sum"`
-	SumSq   float64          `json:"sum_sq"`
-	IntOnly bool             `json:"int_only"`
-	Min     stream.WireValue `json:"min"`
-	Max     stream.WireValue `json:"max"`
-	First   stream.WireValue `json:"first"`
-	Last    stream.WireValue `json:"last"`
-	Any     bool             `json:"any"`
+	Count    int64            `json:"count"`
+	IntHi    int64            `json:"int_hi"`
+	IntLo    uint64           `json:"int_lo"`
+	Floats   int64            `json:"floats"`
+	FloatSum float64          `json:"float_sum"`
+	SumSq    float64          `json:"sum_sq"`
+	Min      stream.WireValue `json:"min"`
+	Max      stream.WireValue `json:"max"`
+	First    stream.WireValue `json:"first"`
+	Last     stream.WireValue `json:"last"`
 }
 
 // GroupPartial is one group's contribution from one node: the encoded
@@ -64,16 +68,16 @@ type PartialRollup struct {
 // partial snapshots the accumulator for shipping.
 func (a *aggState) partial() AggPartial {
 	return AggPartial{
-		Count:   a.count,
-		IntSum:  a.intSum,
-		Sum:     a.sum,
-		SumSq:   a.sumSq,
-		IntOnly: a.intOnly,
-		Min:     stream.WrapValue(a.min),
-		Max:     stream.WrapValue(a.max),
-		First:   stream.WrapValue(a.first),
-		Last:    stream.WrapValue(a.last),
-		Any:     a.any,
+		Count:    a.count,
+		IntHi:    a.isum.hi,
+		IntLo:    a.isum.lo,
+		Floats:   a.nFloat,
+		FloatSum: a.fsum,
+		SumSq:    a.sumSq,
+		Min:      stream.WrapValue(a.min),
+		Max:      stream.WrapValue(a.max),
+		First:    stream.WrapValue(a.first),
+		Last:     stream.WrapValue(a.last),
 	}
 }
 
@@ -84,45 +88,22 @@ func (a *aggState) mergePartial(p AggPartial) error {
 	if a.distinct {
 		return fmt.Errorf("sqlengine: DISTINCT aggregate state is not mergeable")
 	}
-	if p.Any {
-		if !a.any {
+	if p.Count > 0 {
+		if a.count == 0 {
 			a.first = p.First.V
-			a.any = true
 		}
 		a.last = p.Last.V
 	}
 	a.count += p.Count
-	a.intSum += p.IntSum
-	a.sum += p.Sum
+	a.isum.merge(int128{hi: p.IntHi, lo: p.IntLo})
+	a.nFloat += p.Floats
+	a.fsum += p.FloatSum
 	a.sumSq += p.SumSq
-	if !p.IntOnly {
-		a.intOnly = false
-	}
-	if p.Min.V != nil {
-		if a.min == nil {
-			a.min = p.Min.V
-		} else {
-			c, ok, err := compare(p.Min.V, a.min)
-			if err != nil {
-				return err
-			}
-			if ok && c < 0 {
-				a.min = p.Min.V
-			}
-		}
-	}
-	if p.Max.V != nil {
-		if a.max == nil {
-			a.max = p.Max.V
-		} else {
-			c, ok, err := compare(p.Max.V, a.max)
-			if err != nil {
-				return err
-			}
-			if ok && c > 0 {
-				a.max = p.Max.V
-			}
-		}
+	switch {
+	case a.kind == aggMin && p.Min.V != nil:
+		return a.extreme(p.Min.V)
+	case a.kind == aggMax && p.Max.V != nil:
+		return a.extreme(p.Max.V)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 
 	"gsn/internal/sqlparser"
 	"gsn/internal/stream"
@@ -23,52 +24,14 @@ type Plan struct {
 	bareCols []Column // input layout as compiled, for subquery re-binding
 	names    []string // base-table names the input answers to
 
-	// inc is the incremental aggregate program when the statement is an
-	// aggregate-only projection; nil otherwise.
-	inc []IncAggSpec
-
-	// ginc is the grouped incremental program when the statement is a
-	// grouped aggregate-only projection over plain column keys; nil
-	// otherwise. inc and ginc are mutually exclusive.
-	ginc *GroupedIncProgram
+	// inc is the incremental program when the statement is an
+	// aggregate-only projection, grouped or not; nil otherwise.
+	inc *IncProgram
 
 	// prog is the bound (column-index-resolved) execution program when
 	// the statement is inside the compiled subset; nil falls back to
 	// the interpreted evaluator. See compiled.go.
 	prog *boundProgram
-}
-
-// IncAggKind enumerates the aggregates the incremental maintainer can
-// keep under sliding count-window eviction in O(1)/O(log w) per update.
-type IncAggKind int
-
-// Incrementally maintainable aggregate kinds.
-const (
-	IncCount IncAggKind = iota // COUNT(col) / COUNT(*)
-	IncSum
-	IncAvg
-	IncMin
-	IncMax
-	IncLast
-)
-
-// IncAggSpec is one output column of an incremental aggregate plan.
-type IncAggSpec struct {
-	Kind IncAggKind
-	// Col is the input column index of the aggregate argument, or -1
-	// for COUNT(*).
-	Col int
-	// Out is the output column descriptor.
-	Out Column
-}
-
-var incKinds = map[string]IncAggKind{
-	"COUNT": IncCount,
-	"SUM":   IncSum,
-	"AVG":   IncAvg,
-	"MIN":   IncMin,
-	"MAX":   IncMax,
-	"LAST":  IncLast,
 }
 
 // Compile plans stmt against one input relation whose bare column
@@ -117,9 +80,6 @@ func Compile(stmt *sqlparser.SelectStatement, cols []Column, tables ...string) (
 	}
 	p := &Plan{sp: sp, inCols: inCols, bareCols: cols, names: canonical}
 	p.inc = incrementalProgram(sp, inCols)
-	if p.inc == nil {
-		p.ginc = groupedIncrementalProgram(sp, inCols)
-	}
 	p.prog = newBoundProgram(sp, inCols)
 	return p, nil
 }
@@ -143,101 +103,68 @@ func resolveColRef(ref *sqlparser.ColumnRef, inCols []Column) int {
 	return idx
 }
 
-// incAggSpec recognises one incrementally maintainable aggregate call
-// (COUNT/SUM/AVG/MIN/MAX/LAST over a plain column or COUNT(*)), or nil.
-func incAggSpec(fc *sqlparser.FuncCall, inCols []Column, out Column) *IncAggSpec {
-	if fc.Distinct {
-		return nil
+// IncProgram is the compiled form of an aggregate-only statement the
+// AggMaintainer keeps under sliding count-window eviction: plain-column
+// group keys (none without GROUP BY), maintainable aggregates, and a
+// projection drawing only from those.
+type IncProgram struct {
+	// Keys are the input column indices of the GROUP BY keys, in
+	// clause order; empty without GROUP BY.
+	Keys []int
+	aggs []incAgg   // aggregate slots, in projection order
+	proj []projSlot // each output column's key or aggregate slot
+	cols []Column   // output layout
+}
+
+// incAgg is one maintained aggregate: its kind and the input column
+// index of its argument (-1 for COUNT(*)).
+type incAgg struct {
+	kind aggKind
+	col  int
+}
+
+// projSlot maps one output column to a group key (idx into Keys) or an
+// aggregate (idx into aggs).
+type projSlot struct {
+	key bool
+	idx int
+}
+
+// incAggOf recognises one maintainable aggregate call: COUNT, SUM, AVG,
+// MIN, MAX or LAST over a plain column, or COUNT(*). FIRST and STDDEV
+// need the whole window, DISTINCT its value set.
+func incAggOf(fc *sqlparser.FuncCall, inCols []Column) (incAgg, bool) {
+	kind, ok := aggKinds[fc.Name]
+	if !ok || fc.Distinct || kind == aggFirst || kind == aggStddev {
+		return incAgg{}, false
 	}
-	kind, ok := incKinds[fc.Name]
-	if !ok {
-		return nil
-	}
-	spec := &IncAggSpec{Kind: kind, Col: -1, Out: out}
 	if fc.CountStar {
-		return spec
+		return incAgg{kind: kind, col: -1}, true
 	}
 	if len(fc.Args) != 1 {
-		return nil
+		return incAgg{}, false
 	}
 	ref, ok := fc.Args[0].(*sqlparser.ColumnRef)
 	if !ok {
-		return nil
+		return incAgg{}, false
 	}
-	if spec.Col = resolveColRef(ref, inCols); spec.Col < 0 {
-		return nil
-	}
-	return spec
+	col := resolveColRef(ref, inCols)
+	return incAgg{kind: kind, col: col}, col >= 0
 }
 
-// incrementalProgram recognises the dominant source-query shape —
-// SELECT agg(col)[ AS alias], ... FROM w with no WHERE/GROUP BY/
-// HAVING/ORDER BY/DISTINCT/LIMIT — and returns its aggregate program,
-// or nil when the statement does not qualify.
-func incrementalProgram(sp *simplePlan, inCols []Column) []IncAggSpec {
+// incrementalProgram recognises the aggregate-only shape — SELECT
+// [key...,] agg(col)... FROM w [GROUP BY key...] with no WHERE/HAVING/
+// ORDER BY/DISTINCT/LIMIT, every key a plain column reference and every
+// projected column a key or a maintainable aggregate — or returns nil.
+// Shapes outside it (HAVING, expression keys, filtered rollups) still
+// compile into the bound-program tier.
+func incrementalProgram(sp *simplePlan, inCols []Column) *IncProgram {
 	stmt := sp.stmt
-	if !sp.grouped || len(stmt.GroupBy) > 0 || stmt.Where != nil || stmt.Having != nil ||
+	if !sp.grouped || stmt.Where != nil || stmt.Having != nil ||
 		stmt.Distinct || len(stmt.OrderBy) > 0 || stmt.Limit != nil || stmt.Offset != nil {
 		return nil
 	}
-	specs := make([]IncAggSpec, 0, len(sp.proj))
-	for i, item := range sp.proj {
-		if item.star {
-			return nil
-		}
-		fc, ok := item.expr.(*sqlparser.FuncCall)
-		if !ok {
-			return nil
-		}
-		spec := incAggSpec(fc, inCols, sp.outCols[i])
-		if spec == nil {
-			return nil
-		}
-		specs = append(specs, *spec)
-	}
-	if len(specs) == 0 {
-		return nil
-	}
-	return specs
-}
-
-// GroupedProjSlot maps one output column of a grouped incremental
-// program to its source: a GROUP BY key (Idx into Keys) or an
-// aggregate (Idx into Aggs).
-type GroupedProjSlot struct {
-	Key bool
-	Idx int
-}
-
-// GroupedIncProgram is the compiled form of a grouped aggregate-only
-// statement the GroupedAggMaintainer can keep under sliding
-// count-window eviction: plain-column group keys, incrementally
-// maintainable aggregates, and a projection drawing only from those.
-type GroupedIncProgram struct {
-	// Keys are the input column indices of the GROUP BY keys, in
-	// clause order.
-	Keys []int
-	// Aggs are the aggregate slots, in projection order.
-	Aggs []IncAggSpec
-	// Proj maps each output column to a key or aggregate slot.
-	Proj []GroupedProjSlot
-	// Cols is the output column layout.
-	Cols []Column
-}
-
-// groupedIncrementalProgram recognises the grouped rollup shape —
-// SELECT key..., agg(col)... FROM w GROUP BY key... with no WHERE/
-// HAVING/ORDER BY/DISTINCT/LIMIT, every key a plain column reference
-// and every projected column either a key or a maintainable aggregate
-// — or returns nil. Shapes outside it (HAVING, expression keys,
-// filtered rollups) still compile into the bound-program tier.
-func groupedIncrementalProgram(sp *simplePlan, inCols []Column) *GroupedIncProgram {
-	stmt := sp.stmt
-	if len(stmt.GroupBy) == 0 || stmt.Where != nil || stmt.Having != nil ||
-		stmt.Distinct || len(stmt.OrderBy) > 0 || stmt.Limit != nil || stmt.Offset != nil {
-		return nil
-	}
-	prog := &GroupedIncProgram{Keys: make([]int, len(stmt.GroupBy)), Cols: sp.outCols}
+	prog := &IncProgram{Keys: make([]int, len(stmt.GroupBy)), cols: sp.outCols}
 	for i, g := range stmt.GroupBy {
 		ref, ok := g.(*sqlparser.ColumnRef)
 		if !ok {
@@ -247,34 +174,24 @@ func groupedIncrementalProgram(sp *simplePlan, inCols []Column) *GroupedIncProgr
 			return nil
 		}
 	}
-	for i, item := range sp.proj {
+	for _, item := range sp.proj {
 		if item.star {
 			return nil
 		}
 		switch x := item.expr.(type) {
 		case *sqlparser.ColumnRef:
-			idx := resolveColRef(x, inCols)
-			if idx < 0 {
-				return nil
-			}
-			slot := -1
-			for j, k := range prog.Keys {
-				if k == idx {
-					slot = j
-					break
-				}
-			}
+			slot := slices.Index(prog.Keys, resolveColRef(x, inCols))
 			if slot < 0 {
-				return nil // projects a non-key column: rep-row semantics need the scan
+				return nil // a non-key column: rep-row semantics need the scan
 			}
-			prog.Proj = append(prog.Proj, GroupedProjSlot{Key: true, Idx: slot})
+			prog.proj = append(prog.proj, projSlot{key: true, idx: slot})
 		case *sqlparser.FuncCall:
-			spec := incAggSpec(x, inCols, sp.outCols[i])
-			if spec == nil {
+			agg, ok := incAggOf(x, inCols)
+			if !ok {
 				return nil
 			}
-			prog.Proj = append(prog.Proj, GroupedProjSlot{Idx: len(prog.Aggs)})
-			prog.Aggs = append(prog.Aggs, *spec)
+			prog.proj = append(prog.proj, projSlot{idx: len(prog.aggs)})
+			prog.aggs = append(prog.aggs, agg)
 		default:
 			return nil
 		}
@@ -282,86 +199,34 @@ func groupedIncrementalProgram(sp *simplePlan, inCols []Column) *GroupedIncProgr
 	return prog
 }
 
-// Incremental returns the plan's aggregate program, or nil when the
+// Incremental returns the plan's incremental program, or nil when the
 // statement is not aggregate-only. The container pairs it with an
-// AggMaintainer observing the source's window table.
-func (p *Plan) Incremental() []IncAggSpec { return p.inc }
-
-// IncrementalGrouped returns the plan's grouped incremental program,
-// or nil when the statement is not a maintainable grouped rollup. The
-// container pairs it with a GroupedAggMaintainer observing the window
-// table.
-func (p *Plan) IncrementalGrouped() *GroupedIncProgram { return p.ginc }
+// AggMaintainer observing the window table.
+func (p *Plan) Incremental() *IncProgram { return p.inc }
 
 // OutputColumns returns the plan's projected column layout.
 func (p *Plan) OutputColumns() []Column { return p.sp.outCols }
 
 // ExecuteSource runs the compiled plan directly against a window
-// source. Aggregate-only plans never materialise rows at all: the
-// aggregate program folds each element in one ForEach pass inside the
-// table's critical section. Other plan shapes scan the source into rows
-// once (still zero-copy with respect to the element store) and run the
-// precompiled plan.
+// source. Aggregate-only plans without GROUP BY never materialise rows
+// at all: the incremental program folds each element in one ForEach
+// pass inside the table's critical section. Other plan shapes scan the
+// source into rows once (still zero-copy with respect to the element
+// store) and run the precompiled plan.
 func (p *Plan) ExecuteSource(src ElementSource, opts Options) (*Relation, error) {
-	if p.inc == nil {
+	if p.inc == nil || len(p.inc.Keys) > 0 {
 		return p.Execute(RowsOfSource(src), opts)
 	}
-	states := p.incStates()
-	var addErr error
+	g := p.inc.newGroup(nil, false)
+	var err error
 	src.ForEach(func(e stream.Element) bool {
-		addErr = p.incFold(states, func(col int) stream.Value { return inputValue(e, col) })
-		return addErr == nil
+		_, err = p.inc.fold(g, e, false)
+		return err == nil
 	})
-	if addErr != nil {
-		return nil, addErr
+	if err != nil {
+		return nil, err
 	}
-	return p.incResult(states), nil
-}
-
-// incAggKindMap translates the incremental program kinds back to the
-// engine's aggregate states, so the compiled fold computes exactly what
-// execGrouped computes.
-var incAggKindMap = map[IncAggKind]aggKind{
-	IncCount: aggCount,
-	IncSum:   aggSum,
-	IncAvg:   aggAvg,
-	IncMin:   aggMin,
-	IncMax:   aggMax,
-	IncLast:  aggLast,
-}
-
-func (p *Plan) incStates() []*aggState {
-	states := make([]*aggState, len(p.inc))
-	for i, spec := range p.inc {
-		states[i] = newAggState(incAggKindMap[spec.Kind], false)
-	}
-	return states
-}
-
-// incFold feeds one input row (via the column accessor) into the
-// aggregate states.
-func (p *Plan) incFold(states []*aggState, value func(col int) stream.Value) error {
-	for i := range p.inc {
-		spec := &p.inc[i]
-		var v stream.Value
-		if spec.Col < 0 {
-			v = int64(1) // COUNT(*) counts rows, NULLs included
-		} else {
-			v = value(spec.Col)
-		}
-		if err := states[i].add(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *Plan) incResult(states []*aggState) *Relation {
-	row := make([]stream.Value, len(states))
-	for i, st := range states {
-		row[i] = st.result()
-	}
-	return &Relation{Cols: p.sp.outCols, Rows: [][]stream.Value{row}}
+	return p.inc.relation([]*incGroup{g}), nil
 }
 
 // Execute runs the compiled plan over the current window rows (as
@@ -369,16 +234,6 @@ func (p *Plan) incResult(states []*aggState) *Relation {
 // for). It mirrors Execute's tail — ORDER BY and LIMIT/OFFSET — but
 // skips all per-call planning.
 func (p *Plan) Execute(rows [][]stream.Value, opts Options) (*Relation, error) {
-	if p.inc != nil {
-		states := p.incStates()
-		for _, r := range rows {
-			row := r
-			if err := p.incFold(states, func(col int) stream.Value { return row[col] }); err != nil {
-				return nil, err
-			}
-		}
-		return p.incResult(states), nil
-	}
 	if opts.Clock == nil {
 		opts.Clock = stream.SystemClock()
 	}

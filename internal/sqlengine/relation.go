@@ -9,12 +9,14 @@
 // the engine is optimised for many small executions over window-sized
 // relations rather than for large analytical scans. Three tiers serve
 // a statement, picked automatically at Compile and byte-identical in
-// results: incremental maintainers (AggMaintainer and, for GROUP BY
-// rollups, GroupedAggMaintainer) answer aggregate-only shapes over
-// count windows in O(output) per trigger; bound programs (compiled.go)
-// run single-table SELECT cores — WHERE, GROUP BY, HAVING, ORDER BY —
-// with column references resolved to row indices at bind time; and the
-// interpreting evaluator (eval.go, exec.go) covers everything else.
+// results: the incremental AggMaintainer answers aggregate-only
+// shapes, GROUP BY rollups included, over count windows in O(output)
+// per trigger; bound programs (compiled.go) run single-table SELECT
+// cores — WHERE, GROUP BY, HAVING, ORDER BY — with column references
+// resolved to row indices at bind time; and the interpreting evaluator
+// (eval.go, exec.go) covers everything else. All of them fold
+// aggregates into one accumulator (aggState, aggregate.go), which also
+// defines the numeric contract.
 package sqlengine
 
 import (

@@ -40,10 +40,6 @@ func dataPageInit(p []byte) {
 	binary.BigEndian.PutUint16(p[3:5], dataHdrLen)
 }
 
-func dataPageCount(p []byte) int {
-	return int(binary.BigEndian.Uint16(p[1:3]))
-}
-
 // dataPageAppend adds one record to the page, returning its slot index,
 // or false when the record (plus its slot entry) does not fit.
 func dataPageAppend(p []byte, rec []byte) (uint16, bool) {
