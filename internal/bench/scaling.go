@@ -12,11 +12,11 @@ import (
 	"gsn/internal/stream"
 )
 
-// ScalingConfig parameterises the concurrent-producer experiment: the
-// acceptance run for the per-core ingest lane tier. It sweeps producer
-// counts × lanes off/auto × WAL sync policy and reports aggregate
-// ingestion throughput, so the lane speedup (and the single-producer
-// non-regression) is measured rather than asserted.
+// ScalingConfig parameterises the concurrent-producer experiment. It
+// sweeps producer counts × WAL sync policy against one permanent table
+// and reports aggregate ingestion throughput and WAL commits per
+// element, so the sync=durable commit-combining win (many producers
+// sharing one fdatasync) is measured rather than asserted.
 type ScalingConfig struct {
 	// Producers is the swept list of concurrent writer goroutines.
 	Producers []int
@@ -35,8 +35,8 @@ type ScalingConfig struct {
 
 // DefaultScaling sizes the sweep so the sync=always cells reach
 // group-commit steady state without making the run interminable (each
-// lanes-off always cell pays one write syscall per element, and each
-// lanes-off durable cell one disk sync per element).
+// always cell pays one write syscall per element, and a 1-producer
+// durable cell one disk sync per element).
 func DefaultScaling() ScalingConfig {
 	return ScalingConfig{Producers: []int{1, 2, 4, 8}, Elements: 50_000,
 		DurableElements: 2_000, Repeats: 3, Window: 1000}
@@ -45,11 +45,16 @@ func DefaultScaling() ScalingConfig {
 // ScalingPoint is one measured cell.
 type ScalingPoint struct {
 	Producers int
-	Lanes     string  // "off" or "auto"
 	Sync      string  // "always", "interval", or "durable"
 	Elems     int     // total elements written (all producers)
 	PerSec    float64 // aggregate ingestion throughput
-	Flushes   uint64  // WAL write syscalls issued
+	Flushes   uint64  // WAL commits (write syscalls) issued
+}
+
+// CommitsPerElem is the WAL commits per element written: 1 when every
+// insert commits alone, lower when commits are grouped.
+func (p ScalingPoint) CommitsPerElem() float64 {
+	return float64(p.Flushes) / float64(p.Elems)
 }
 
 // ScalingResult is the full matrix.
@@ -57,21 +62,22 @@ type ScalingResult struct {
 	Points []ScalingPoint
 }
 
-// Table renders an aligned comparison, reporting the lanes-on/off
-// speedup per (producers, sync) pair.
+// Table renders an aligned matrix. Each multi-producer durable row also
+// reports its speedup over the 1-producer durable cell, whose one
+// fdatasync per element is the uncombined baseline.
 func (r *ScalingResult) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-6s %-10s %12s %10s\n", "producers", "lanes", "sync", "elems/sec", "flushes")
-	base := map[string]float64{}
+	fmt.Fprintf(&b, "%-10s %-10s %12s %10s %13s\n", "producers", "sync", "elems/sec", "commits", "commits/elem")
+	var solo float64
 	for _, p := range r.Points {
-		if p.Lanes == "off" {
-			base[fmt.Sprintf("%d/%s", p.Producers, p.Sync)] = p.PerSec
+		if p.Producers == 1 && p.Sync == storage.SyncDurable.String() {
+			solo = p.PerSec
 		}
 	}
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-10d %-6s %-10s %12.0f %10d", p.Producers, p.Lanes, p.Sync, p.PerSec, p.Flushes)
-		if off := base[fmt.Sprintf("%d/%s", p.Producers, p.Sync)]; p.Lanes == "auto" && off > 0 {
-			fmt.Fprintf(&b, "   %.2fx", p.PerSec/off)
+		fmt.Fprintf(&b, "%-10d %-10s %12.0f %10d %13.4f", p.Producers, p.Sync, p.PerSec, p.Flushes, p.CommitsPerElem())
+		if p.Sync == storage.SyncDurable.String() && p.Producers > 1 && solo > 0 {
+			fmt.Fprintf(&b, "   %.2fx 1p", p.PerSec/solo)
 		}
 		b.WriteByte('\n')
 	}
@@ -81,26 +87,21 @@ func (r *ScalingResult) Table() string {
 // CSV renders the matrix for external plotting.
 func (r *ScalingResult) CSV() string {
 	var b strings.Builder
-	b.WriteString("producers,lanes,sync,elements,elems_per_sec,flushes\n")
+	b.WriteString("producers,sync,elements,elems_per_sec,flushes,commits_per_elem\n")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%d,%s,%s,%d,%.0f,%d\n", p.Producers, p.Lanes, p.Sync, p.Elems, p.PerSec, p.Flushes)
+		fmt.Fprintf(&b, "%d,%s,%d,%.0f,%d,%.4f\n", p.Producers, p.Sync, p.Elems, p.PerSec, p.Flushes, p.CommitsPerElem())
 	}
 	return b.String()
 }
 
-// runScalingCell times one (producers, lanes, sync) cell against a
-// fresh permanent table. Each producer writes its own pre-built element
-// sequence (disjoint timestamp ranges, so the merge order is
-// inspectable) through a per-producer LaneWriter — which transparently
-// degrades to plain Insert when lanes are off, keeping the measured
-// call shape identical across the lanes axis.
+// runScalingCell times one (producers, sync) cell against a fresh
+// permanent table. Each producer writes its own pre-built element
+// sequence (disjoint timestamp ranges, so the commit order is
+// inspectable) through Table.Insert.
 func runScalingCell(cfg ScalingConfig, schema *stream.Schema,
-	perProducer [][]stream.Element, producers int, lanes int, policy storage.SyncPolicy) (ScalingPoint, error) {
-	point := ScalingPoint{Producers: producers, Lanes: "off", Sync: policy.String(),
+	perProducer [][]stream.Element, producers int, policy storage.SyncPolicy) (ScalingPoint, error) {
+	point := ScalingPoint{Producers: producers, Sync: policy.String(),
 		Elems: producers * len(perProducer[0])}
-	if lanes != 0 {
-		point.Lanes = "auto"
-	}
 
 	dir, err := os.MkdirTemp("", "gsn-scaling-*")
 	if err != nil {
@@ -114,10 +115,9 @@ func runScalingCell(cfg ScalingConfig, schema *stream.Schema,
 	}
 	defer store.Close()
 	table, err := store.CreateTable("scaling", schema, storage.TableOptions{
-		Window:      stream.Window{Kind: stream.CountWindow, Count: cfg.Window},
-		Permanent:   true,
-		Sync:        policy,
-		IngestLanes: lanes,
+		Window:    stream.Window{Kind: stream.CountWindow, Count: cfg.Window},
+		Permanent: true,
+		Sync:      policy,
 	})
 	if err != nil {
 		return point, err
@@ -130,14 +130,13 @@ func runScalingCell(cfg ScalingConfig, schema *stream.Schema,
 		errMu    sync.Mutex
 	)
 	for p := 0; p < producers; p++ {
-		w := table.NewLaneWriter()
 		elems := perProducer[p]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
 			for _, e := range elems {
-				if err := w.Insert(e); err != nil {
+				if err := table.Insert(e); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -168,11 +167,10 @@ func runScalingCell(cfg ScalingConfig, schema *stream.Schema,
 	return point, nil
 }
 
-// RunScaling executes the producers × lanes × sync matrix, streaming
-// progress to w. Run it at GOMAXPROCS >= the largest producer count —
-// lanes="auto" sizes the lane array from GOMAXPROCS, and the lanes-off
-// baseline needs real goroutine interleaving to exhibit its mutex and
-// syscall convoy.
+// RunScaling executes the producers × sync matrix, streaming progress
+// to w. Run it at GOMAXPROCS >= the largest producer count, so the
+// producers really interleave and the table's mutex and syscall convoy
+// (and, under sync=durable, commit combining) show.
 func RunScaling(cfg ScalingConfig, w io.Writer) (*ScalingResult, error) {
 	if len(cfg.Producers) == 0 {
 		cfg.Producers = DefaultScaling().Producers
@@ -235,27 +233,19 @@ func RunScaling(cfg ScalingConfig, w io.Writer) (*ScalingResult, error) {
 			if policy == storage.SyncDurable {
 				elems = durable
 			}
-			// Repeats alternate lanes off/auto so slow drift in disk
-			// and scheduler state hits both sides of the comparison
-			// evenly instead of biasing whichever ran last.
-			laneOpts := []int{0, storage.AutoLanes}
-			best := make([]ScalingPoint, len(laneOpts))
+			var best ScalingPoint
 			for rep := 0; rep < cfg.Repeats; rep++ {
-				for i, lanes := range laneOpts {
-					got, err := runScalingCell(cfg, schema, elems, producers, lanes, policy)
-					if err != nil {
-						return nil, err
-					}
-					if rep == 0 || got.PerSec > best[i].PerSec {
-						best[i] = got
-					}
+				got, err := runScalingCell(cfg, schema, elems, producers, policy)
+				if err != nil {
+					return nil, err
+				}
+				if rep == 0 || got.PerSec > best.PerSec {
+					best = got
 				}
 			}
-			for _, p := range best {
-				fmt.Fprintf(w, "  producers=%d lanes=%-4s sync=%-8s %12.0f elems/sec\n",
-					p.Producers, p.Lanes, p.Sync, p.PerSec)
-				res.Points = append(res.Points, p)
-			}
+			fmt.Fprintf(w, "  producers=%d sync=%-8s %12.0f elems/sec %8.4f commits/elem\n",
+				best.Producers, best.Sync, best.PerSec, best.CommitsPerElem())
+			res.Points = append(res.Points, best)
 		}
 	}
 	return res, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"gsn/internal/notify"
 	"gsn/internal/sqlengine"
+	"gsn/internal/storage"
 	"gsn/internal/stream"
 	"gsn/internal/vsensor"
 )
@@ -112,24 +114,25 @@ func TestWindowedAverageConverges(t *testing.T) {
 	}
 }
 
-// TestDeployWithIngestLanes: a descriptor opting in with lanes="auto"
-// deploys, ingests through the lane tier end to end (the sensor's
-// batch terminal stays a single publish per trigger), and surfaces
-// the lane counters in the metrics snapshot.
-func TestDeployWithIngestLanes(t *testing.T) {
+// TestDeployDurableSensor: a descriptor with sync="durable" deploys and
+// ingests end to end through the commit combiner its output table uses,
+// every output row is in the WAL when the sensor reports it (no Flush),
+// and the rows survive a container restart.
+func TestDeployDurableSensor(t *testing.T) {
+	dir := t.TempDir()
+	desc := strings.Replace(moteAvgDescriptor,
+		`<storage size="50" />`,
+		`<storage size="50" permanent-storage="true" sync="durable"/>`, 1)
 	c, err := New(Options{
-		Name:           "lanes-node",
+		Name:           "durable-node",
 		Clock:          stream.NewManualClock(1_000_000),
 		SyncProcessing: true,
-		DataDir:        t.TempDir(),
+		DataDir:        dir,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	deploy(t, c, strings.Replace(moteAvgDescriptor,
-		`<storage size="50" />`,
-		`<storage size="50" permanent-storage="true" sync="durable" lanes="auto"/>`, 1))
+	deploy(t, c, desc)
 
 	for i := 0; i < 20; i++ {
 		c.Pulse()
@@ -141,19 +144,34 @@ func TestDeployWithIngestLanes(t *testing.T) {
 	if st := vs.Stats(); st.Outputs != 20 || st.Errors != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	snap := c.MetricsSnapshot()
-	if _, ok := snap["lane_published_total"]; !ok {
-		t.Fatalf("lane counters missing from metrics snapshot: %v", snap)
+	_, rows, err := storage.ReplayLog(filepath.Join(dir, "AVG-TEMP.gsnlog"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := snap["lane_collapsed_total"]; !ok {
-		t.Fatalf("lane_collapsed_total missing from metrics snapshot: %v", snap)
+	if len(rows) != 20 {
+		t.Fatalf("WAL holds %d rows before any flush, want 20", len(rows))
 	}
-	rel, err := c.Query(`select count(*) from "avg-temp"`)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := New(Options{
+		Name:           "durable-node",
+		Clock:          stream.NewManualClock(2_000_000),
+		SyncProcessing: true,
+		DataDir:        dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	deploy(t, c2, desc)
+	rel, err := c2.Query(`select count(*) from "avg-temp"`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Rows[0][0] != int64(20) {
-		t.Errorf("output rows = %v, want 20", rel.Rows[0][0])
+		t.Errorf("output rows after restart = %v, want 20", rel.Rows[0][0])
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"gsn/internal/directory"
 	"gsn/internal/integrity"
 	"gsn/internal/resilience"
+	"gsn/internal/sqlengine"
 	"gsn/internal/stream"
 )
 
@@ -275,13 +276,15 @@ func (c *Client) decodeStream(resp *http.Response) ([]stream.Element, *stream.Sc
 	return out, schema, nil
 }
 
-// Query runs a one-shot SQL query on the peer (served from the peer's
-// result cache when its windows are unchanged). JSON flattens numeric
-// types; use Fetch for the typed element stream.
-func (c *Client) Query(sql string) (QueryResult, error) {
-	var out QueryResult
-	err := c.getJSON("/p2p/query?sql="+url.QueryEscape(sql), &out)
-	return out, err
+// Query runs a one-shot SQL query over the peer's own streams (served
+// from the peer's result cache when its windows are unchanged). Values
+// keep their exact types across the hop; columns carry names only.
+func (c *Client) Query(sql string) (*sqlengine.Relation, error) {
+	var tr TypedResult
+	if err := c.getJSON("/p2p/query?sql="+url.QueryEscape(sql), &tr); err != nil {
+		return nil, err
+	}
+	return relationOfTyped(tr), nil
 }
 
 // DirectorySnapshot fetches the peer's directory entries.

@@ -169,7 +169,7 @@ func (f *Federation) PartialQuery(owner, sql string) (*sqlengine.PartialRollup, 
 // RouteQuery implements core.Cluster.
 func (f *Federation) RouteQuery(owner, sql string) (*sqlengine.Relation, error) {
 	var tr TypedResult
-	n, err := f.peerClient(owner).getJSONCounted("/p2p/queryx?sql="+url.QueryEscape(sql), &tr)
+	n, err := f.peerClient(owner).getJSONCounted("/p2p/query?sql="+url.QueryEscape(sql), &tr)
 	f.routedBytes.Add(uint64(n))
 	if err != nil {
 		return nil, err
@@ -183,7 +183,7 @@ func (f *Federation) RouteQuery(owner, sql string) (*sqlengine.Relation, error) 
 func (f *Federation) UnionRows(owner, table string) (*sqlengine.Relation, error) {
 	var tr TypedResult
 	n, err := f.peerClient(owner).getJSONCounted(
-		"/p2p/queryx?sql="+url.QueryEscape("SELECT * FROM "+table), &tr)
+		"/p2p/query?sql="+url.QueryEscape("SELECT * FROM "+table), &tr)
 	f.unionBytes.Add(uint64(n))
 	if err != nil {
 		return nil, err

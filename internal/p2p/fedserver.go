@@ -20,11 +20,11 @@ import (
 // re-route the statement back into the cluster, or two owners of one
 // sensor would bounce it between themselves forever.
 
-// TypedResult is the exact-typed JSON shape of a federated query
-// response. Unlike the legacy QueryResult (whose values flatten through
-// encoding/json), rows ride as tagged WireValues, so int64, float64,
-// []byte and string survive the hop bit-identically — the property the
-// cluster equivalence tests pin.
+// TypedResult is the exact-typed JSON shape of a peer query response
+// (/p2p/query) and of routed-query result pages. Rows ride as tagged
+// WireValues rather than through encoding/json's number flattening, so
+// int64, float64, []byte and string survive the hop bit-identically —
+// the property the cluster equivalence tests pin.
 type TypedResult struct {
 	Columns []string             `json:"columns"`
 	Rows    [][]stream.WireValue `json:"rows"`
@@ -71,23 +71,6 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, pr)
-}
-
-// handleQueryTyped runs a one-shot query over this node's streams only
-// and answers with exact-typed rows (the transport behind routed
-// queries and union fallbacks).
-func (s *Server) handleQueryTyped(w http.ResponseWriter, r *http.Request) {
-	sql := r.URL.Query().Get("sql")
-	if sql == "" {
-		http.Error(w, "missing sql parameter", http.StatusBadRequest)
-		return
-	}
-	rel, err := s.container.LocalQuery(sql)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, typedOfRelation(rel))
 }
 
 // handleCluster reports the node's cluster view (membership, sensor

@@ -117,6 +117,34 @@ func TestFetchIncremental(t *testing.T) {
 	}
 }
 
+// TestClientQueryTyped: Client.Query goes through the one peer query
+// endpoint and gets exact-typed values back (an integer count stays
+// int64 instead of flattening to a JSON float), and a bad statement is
+// an error.
+func TestClientQueryTyped(t *testing.T) {
+	c, srv := producerNode(t, "")
+	client := &Client{Base: srv.URL}
+	for i := 0; i < 3; i++ {
+		c.Pulse()
+	}
+	rel, err := client.Query(`select count(*) as n, max(temperature) as mx from "remote-temp"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Rows) != 1 || len(rel.Cols) != 2 || rel.Cols[0].Name != "N" {
+		t.Fatalf("result = %s", rel)
+	}
+	if n, ok := rel.Rows[0][0].(int64); !ok || n != 3 {
+		t.Fatalf("count = %#v, want int64(3)", rel.Rows[0][0])
+	}
+	if _, ok := rel.Rows[0][1].(int64); !ok {
+		t.Fatalf("max(temperature) = %#v, want an int64", rel.Rows[0][1])
+	}
+	if _, err := client.Query("select * from ghost"); err == nil {
+		t.Fatal("query over a missing table succeeded")
+	}
+}
+
 func elemsSchema(t *testing.T, elems []stream.Element) *stream.Schema {
 	t.Helper()
 	if len(elems) == 0 {

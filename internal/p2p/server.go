@@ -111,7 +111,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /p2p/schema", s.handleSchema)
 	mux.HandleFunc("GET /p2p/stream", s.handleStream)
 	mux.HandleFunc("GET /p2p/query", s.handleQuery)
-	mux.HandleFunc("GET /p2p/queryx", s.handleQueryTyped)
 	mux.HandleFunc("GET /p2p/partial", s.handlePartial)
 	mux.HandleFunc("GET /p2p/cluster", s.handleCluster)
 	mux.HandleFunc("POST /p2p/register", s.handleRegister)
@@ -277,22 +276,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Write(body.Bytes())
 }
 
-// QueryResult is the JSON shape of a peer query response. Byte
-// payloads ride as base64 (encoding/json's []byte default); numeric
-// types flatten to JSON numbers, so the endpoint serves dashboards and
-// federation probes, not the typed element stream (use /p2p/stream for
-// that).
-type QueryResult struct {
-	Columns []string         `json:"columns"`
-	Rows    [][]stream.Value `json:"rows"`
-}
-
 // handleQuery runs a one-shot SQL query over the node's stored streams
-// on behalf of a peer. It goes through the container's version-stamped
-// result cache, so repeated identical pulls between inserts cost one
-// map lookup. Strictly local (LocalQuery, like every peer-serving
-// endpoint): a node answering a coordinator must not re-route the
-// statement back into the cluster.
+// on behalf of a peer and answers with exact-typed rows (TypedResult):
+// the endpoint behind Client.Query, routed queries and union fallbacks.
+// It goes through the container's version-stamped result cache, so
+// repeated identical pulls between inserts cost one map lookup.
+// Strictly local (LocalQuery, like every peer-serving endpoint): a node
+// answering a coordinator must not re-route the statement back into
+// the cluster.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sql := r.URL.Query().Get("sql")
 	if sql == "" {
@@ -304,11 +295,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	out := QueryResult{Columns: rel.Names(), Rows: rel.Rows}
-	if out.Rows == nil {
-		out.Rows = [][]stream.Value{}
-	}
-	writeJSON(w, out)
+	writeJSON(w, typedOfRelation(rel))
 }
 
 func (s *Server) handleDirectory(w http.ResponseWriter, r *http.Request) {

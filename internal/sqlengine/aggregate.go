@@ -78,7 +78,7 @@ type aggState struct {
 // classic monotonic deque of the live inputs that can still become the
 // extreme, each tagged with its position among the state's non-NULL
 // inputs. Inputs expire oldest first, so the evicted one is at position
-// evicted and the deque front holds the extreme.
+// evicted and the deque front holds the oldest live extreme.
 type slideWin struct {
 	evicted uint64
 	deque   []seqValue
@@ -188,7 +188,9 @@ func (a *aggState) add(v stream.Value) error {
 }
 
 // extreme folds v into MIN/MAX: by comparison in a scan, through the
-// monotonic deque (pop every back v beats or equals) when sliding.
+// monotonic deque (pop every back v strictly beats) when sliding. Both
+// keep the oldest of equal extremes, so values that compare equal but
+// differ (-0.0 and +0.0) come out the same from either tier.
 func (a *aggState) extreme(v stream.Value) error {
 	want := -1 // MIN wants smaller
 	cur := &a.min
@@ -201,7 +203,7 @@ func (a *aggState) extreme(v stream.Value) error {
 			if err != nil {
 				return err
 			}
-			if c == -want {
+			if c != want {
 				break
 			}
 			w.deque = w.deque[:len(w.deque)-1]

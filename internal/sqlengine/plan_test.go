@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -165,10 +166,12 @@ func TestIncrementalProgramDetection(t *testing.T) {
 // TestAggMaintainerMatchesExecute simulates a sliding count window with
 // random inserts (including NULLs and floats) and checks after every
 // step that the incremental result equals full re-execution over the
-// live window.
+// live window. One float in five is a signed zero: -0.0 and +0.0
+// compare equal, so MIN/MAX must keep the same one a scan keeps.
 func TestAggMaintainerMatchesExecute(t *testing.T) {
 	const query = "select count(*) as n, count(v) as nv, sum(v) as s, avg(v) as a, " +
-		"min(v) as mn, max(v) as mx, last(v) as l, sum(f) as sf from w"
+		"min(v) as mn, max(v) as mx, last(v) as l, sum(f) as sf, " +
+		"min(f) as mnf, max(f) as mxf from w"
 	stmt, err := sqlparser.Parse(query)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +201,11 @@ func TestAggMaintainerMatchesExecute(t *testing.T) {
 		case 1:
 			v = bigInts[rng.Intn(len(bigInts))]
 		}
-		e, err := stream.NewElement(planSchema, stream.Timestamp(step+1), v, rng.Float64()*10-5)
+		f := rng.Float64()*10 - 5
+		if rng.Intn(5) == 0 {
+			f = []float64{math.Copysign(0, -1), 0}[rng.Intn(2)]
+		}
+		e, err := stream.NewElement(planSchema, stream.Timestamp(step+1), v, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,9 +235,10 @@ func TestAggMaintainerMatchesExecute(t *testing.T) {
 	}
 }
 
-// aggRowsEqual compares single-row aggregate relations exactly, except
-// column fCol — the SUM over the float column f — where it tolerates
-// the rounding difference between a running float sum and a rescan.
+// aggRowsEqual compares single-row aggregate relations exactly — floats
+// bit for bit, so -0.0 and +0.0 differ — except column fCol, the SUM
+// over the float column f, where it tolerates the rounding difference
+// between a running float sum and a rescan.
 func aggRowsEqual(t *testing.T, a, b *Relation, fCol int) bool {
 	t.Helper()
 	if len(a.Rows) != 1 || len(b.Rows) != 1 || len(a.Rows[0]) != len(b.Rows[0]) {
@@ -240,9 +248,12 @@ func aggRowsEqual(t *testing.T, a, b *Relation, fCol int) bool {
 		av, bv := a.Rows[0][i], b.Rows[0][i]
 		af, aok := av.(float64)
 		bf, bok := bv.(float64)
-		if i == fCol && aok && bok {
-			d := af - bf
-			if d < -1e-9 || d > 1e-9 {
+		if aok && bok {
+			if i == fCol {
+				if d := af - bf; d < -1e-9 || d > 1e-9 {
+					return false
+				}
+			} else if math.Float64bits(af) != math.Float64bits(bf) {
 				return false
 			}
 			continue

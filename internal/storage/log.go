@@ -13,24 +13,35 @@ import (
 	"gsn/internal/stream"
 )
 
-// logMagic identifies a GSN persistence log file (version 1: records
-// are length-prefixed full element encodings). New logs are written in
-// version 2 (logMagicV2): compact records with a delta-encoded logical
-// timestamp and no arrival/production stamps, roughly halving the bytes
-// per small sensor tuple. Version 3 (logMagicV3) uses the same compact
-// records but its header additionally carries a base: the absolute
-// sequence number and timestamp the file's records continue from.
-// Checkpoints (RewriteHead) produce v3 files — the log holds only the
-// un-checkpointed tail, records below the base being durable in the
-// table's history tier. All versions replay; appends continue the
-// version the file was created with.
+// Log files are written in one format, version 3 (logMagicV3): compact
+// records with a delta-encoded logical timestamp and no
+// arrival/production stamps, behind a header carrying a base — the
+// absolute sequence number and timestamp the file's records continue
+// from (zero for a fresh sequence space). After a checkpoint
+// (RewriteHead) the log holds only the un-checkpointed tail, records
+// below the base being durable in the table's history tier.
+//
+// Two older formats still replay: version 1 (logMagic: length-prefixed
+// full element encodings) and version 2 (logMagicV2: compact records,
+// no base). A v2 file's records are already compact, so appends extend
+// it as they are and its first checkpoint rewrites it as v3; a v1 file
+// is rewritten as v3 when it is opened.
 var logMagic = []byte("GSNLOG1\n")
 
-// logMagicV2 identifies the compact-record format.
+// logMagicV2 identifies the compact-record format without a base.
 var logMagicV2 = []byte("GSNLOG2\n")
 
 // logMagicV3 identifies the compact-record format with a header base.
 var logMagicV3 = []byte("GSNLOG3\n")
+
+// encodeLogHeader returns the v3 header: magic, schema, and the base
+// sequence number and timestamp the file's records continue from.
+func encodeLogHeader(schema *stream.Schema, base uint64, baseTS stream.Timestamp) []byte {
+	hdr := append([]byte{}, logMagicV3...)
+	hdr = stream.EncodeSchema(hdr, schema)
+	hdr = binary.AppendUvarint(hdr, base)
+	return binary.AppendVarint(hdr, int64(baseTS))
+}
 
 // SyncPolicy selects when staged WAL records are handed to the
 // operating system (a write syscall). None of the policies fsync — the
@@ -119,8 +130,7 @@ type LogOptions struct {
 	// BaseSeq, when creating a fresh file, is the absolute sequence
 	// number the first record will follow (non-zero when a table's
 	// history tier already holds records but the WAL file is gone).
-	// A non-zero base makes the fresh file v3. Ignored for existing
-	// files, which carry their own base.
+	// Ignored for existing files, which carry their own base.
 	BaseSeq uint64
 	// FS is the filesystem the log opens its file through (nil =
 	// DefaultFS). Fault-injection tests swap in a FaultFS here.
@@ -163,20 +173,19 @@ type LogStats struct {
 // file starts with a magic header and the binary-encoded schema,
 // followed by the records.
 type Log struct {
-	f       File
-	fs      FS
-	path    string
-	schema  *stream.Schema
-	hdrLen  int64 // file offset of the first element record
-	version int   // record format: 1 (full), 2 (compact), 3 (compact+base)
-	opts    LogOptions
+	f      File
+	fs     FS
+	path   string
+	schema *stream.Schema
+	hdrLen int64 // file offset of the first element record
+	opts   LogOptions
 
 	// mu guards the staging state only; it is never held across a
 	// write syscall.
 	mu      sync.Mutex
 	buf     []byte           // staged records, not yet written
 	shadow  []byte           // spare buffer, swapped in by commit
-	lastTS  stream.Timestamp // previous staged timestamp (v2 deltas)
+	lastTS  stream.Timestamp // previous staged timestamp (record deltas)
 	appends uint64
 	flushes uint64
 	closed  bool
@@ -187,7 +196,7 @@ type Log struct {
 	// are no-ops until something is staged.
 	dirty atomic.Bool
 	// base is the absolute sequence number of the record before the
-	// file's first one (0 except for v3 files); recs and committed
+	// file's first one (0 for a fresh sequence space); recs and committed
 	// count the records staged/durably committed beyond it, so
 	// base+committed is the durable sequence boundary a checkpoint may
 	// truncate up to. tailBytes tracks the record bytes in file plus
@@ -197,7 +206,7 @@ type Log struct {
 	committed uint64
 	tailBytes int64
 	// broken poisons the log after a failed commit: the file may end in
-	// a torn group and the v2 delta chain no longer matches what was
+	// a torn group and the delta chain no longer matches what was
 	// staged, so appending anything further would write records that
 	// replay with silently wrong timestamps behind bytes the replayer
 	// can never pass. Every later Append/Flush fails with this error;
@@ -246,22 +255,9 @@ func openLog(path string, schema *stream.Schema, opts LogOptions, rep *logReplay
 	var hdrLen int64
 	var lastTS stream.Timestamp
 	var base, nrecs uint64
-	version := 2
 	if info.Size() == 0 {
-		// Fresh log: write a compact-format header (v3 when it must
-		// carry a non-zero base).
-		var hdr []byte
-		if opts.BaseSeq > 0 {
-			version = 3
-			base = opts.BaseSeq
-			hdr = append([]byte{}, logMagicV3...)
-			hdr = stream.EncodeSchema(hdr, schema)
-			hdr = binary.AppendUvarint(hdr, base)
-			hdr = binary.AppendVarint(hdr, 0) // base timestamp
-		} else {
-			hdr = append([]byte{}, logMagicV2...)
-			hdr = stream.EncodeSchema(hdr, schema)
-		}
+		base = opts.BaseSeq
+		hdr := encodeLogHeader(schema, base, 0)
 		if _, err := f.Write(hdr); err != nil {
 			f.Close()
 			return nil, err
@@ -279,19 +275,28 @@ func openLog(path string, schema *stream.Schema, opts LogOptions, rep *logReplay
 			f.Close()
 			return nil, fmt.Errorf("storage: log %s has schema %s, table wants %s", path, rep.schema, schema)
 		}
-		hdrLen = rep.hdrLen
-		version = rep.version
-		base = rep.base
-		nrecs = uint64(len(rep.elems))
-		if rep.clean < info.Size() {
+		if rep.version == 1 {
+			// A full-record log: rewrite its clean records as v3 once, so
+			// every append from here on is in the one write format.
+			f.Close()
+			if rep, err = rewriteV1(fsys, path, schema, rep.elems); err != nil {
+				return nil, err
+			}
+			if f, err = fsys.OpenFile(path, os.O_RDWR, 0o644); err != nil {
+				return nil, err
+			}
+		} else if rep.clean < info.Size() {
 			// Crash recovery: drop the torn tail so new records extend
-			// the clean prefix (and the v2 delta chain) instead of
-			// hiding behind bytes the replayer can never pass.
+			// the clean prefix (and the delta chain) instead of hiding
+			// behind bytes the replayer can never pass.
 			if err := f.Truncate(rep.clean); err != nil {
 				f.Close()
 				return nil, err
 			}
 		}
+		hdrLen = rep.hdrLen
+		base = rep.base
+		nrecs = uint64(len(rep.elems))
 		lastTS = rep.baseTS
 		if len(rep.elems) > 0 {
 			lastTS = rep.elems[len(rep.elems)-1].Timestamp()
@@ -302,7 +307,7 @@ func openLog(path string, schema *stream.Schema, opts LogOptions, rep *logReplay
 		f.Close()
 		return nil, err
 	}
-	l := &Log{f: f, fs: fsys, path: path, schema: schema, hdrLen: hdrLen, version: version,
+	l := &Log{f: f, fs: fsys, path: path, schema: schema, hdrLen: hdrLen,
 		lastTS: lastTS, off: end, opts: opts,
 		base: base, recs: nrecs, committed: nrecs, tailBytes: end - hdrLen}
 	if opts.Sync == SyncInterval {
@@ -312,6 +317,39 @@ func openLog(path string, schema *stream.Schema, opts LogOptions, rep *logReplay
 		go l.flusher(l.flusherStop, l.flusherDone)
 	}
 	return l, nil
+}
+
+// rewriteV1 replaces the v1 log at path with a v3 log of the same
+// records, atomically (temp file + rename, as RewriteHead does), and
+// returns the new file's replay. The records lose their v1
+// arrival/production stamps, which the compact format does not carry.
+func rewriteV1(fsys FS, path string, schema *stream.Schema, elems []stream.Element) (*logReplay, error) {
+	buf := encodeLogHeader(schema, 0, 0)
+	var rec []byte
+	var prev stream.Timestamp
+	for _, e := range elems {
+		rec = stream.EncodeElementCompact(rec[:0], e, prev)
+		prev = e.Timestamp()
+		buf = binary.AppendUvarint(buf, uint64(len(rec)))
+		buf = append(buf, rec...)
+	}
+	tmp := path + ".rewrite"
+	w, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	_, err = w.Write(buf)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return nil, err
+	}
+	return replayLogFile(fsys, path)
 }
 
 // flusher is the SyncInterval group-commit loop: it wakes every
@@ -402,7 +440,7 @@ func (l *Log) commit() error {
 }
 
 // encodeScratch pools the per-call record-encode buffers, so append
-// paths from many goroutines (lane merges, direct inserts, recovery
+// paths from many goroutines (combined commits, direct inserts, recovery
 // re-appends) reuse encode scratch instead of growing a per-log buffer
 // under the staging lock or allocating per batch.
 var encodeScratch = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
@@ -410,13 +448,8 @@ var encodeScratch = sync.Pool{New: func() any { b := make([]byte, 0, 512); retur
 // stageLocked encodes one record into the staging buffer using the
 // caller-provided scratch (from encodeScratch).
 func (l *Log) stageLocked(e stream.Element, scratch *[]byte) {
-	s := *scratch
-	if l.version >= 2 {
-		s = stream.EncodeElementCompact(s[:0], e, l.lastTS)
-		l.lastTS = e.Timestamp()
-	} else {
-		s = stream.EncodeElement(s[:0], e)
-	}
+	s := stream.EncodeElementCompact((*scratch)[:0], e, l.lastTS)
+	l.lastTS = e.Timestamp()
 	*scratch = s
 	before := len(l.buf)
 	l.buf = binary.AppendUvarint(l.buf, uint64(len(s)))
@@ -516,11 +549,12 @@ func (l *Log) Flush() error {
 	return l.commit()
 }
 
-// Reset discards every element record — staged and written — keeping
-// the header, so a truncated table's log does not resurrect rows on the
-// next replay. Holding writeMu first waits out any in-flight group
-// commit; clearing the staging buffer under mu stops later ones from
-// resurrecting anything.
+// Reset discards every element record — staged and written — and
+// rewrites the header with a zero base, so a truncated table's log does
+// not resurrect rows on the next replay and its sequence space restarts
+// at zero alongside the table's. Holding writeMu first waits out any
+// in-flight group commit; clearing the staging buffer under mu stops
+// later ones from resurrecting anything.
 func (l *Log) Reset() error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
@@ -532,28 +566,19 @@ func (l *Log) Reset() error {
 	if closed {
 		return os.ErrClosed
 	}
-	if l.version == 3 {
-		// A v3 base would survive a header-keeping truncate; rewrite
-		// the file as a fresh v2 log so the sequence space restarts at
-		// zero alongside the truncated table's.
-		hdr := append([]byte{}, logMagicV2...)
-		hdr = stream.EncodeSchema(hdr, l.schema)
-		if err := l.f.Truncate(0); err != nil {
-			return err
-		}
-		if _, err := l.f.WriteAt(hdr, 0); err != nil {
-			return err
-		}
-		l.hdrLen = int64(len(hdr))
-		l.version = 2
-	} else if err := l.f.Truncate(l.hdrLen); err != nil {
+	hdr := encodeLogHeader(l.schema, 0, 0)
+	if err := l.f.Truncate(0); err != nil {
 		return err
 	}
+	if _, err := l.f.WriteAt(hdr, 0); err != nil {
+		return err
+	}
+	l.hdrLen = int64(len(hdr))
 	_, err := l.f.Seek(l.hdrLen, io.SeekStart)
 	if err == nil {
 		l.off = l.hdrLen
 		l.mu.Lock()
-		// A header-only file is a clean slate: the v2 delta chain
+		// A header-only file is a clean slate: the delta chain
 		// restarts and a poisoned log becomes usable again.
 		l.lastTS = 0
 		l.broken = nil
@@ -594,9 +619,6 @@ func (l *Log) TailBytes() int64 {
 // full. The retained suffix is copied byte-for-byte: its first
 // record's timestamp delta is relative to the last dropped record,
 // whose timestamp becomes the header's base timestamp.
-//
-// v1 logs predate base tracking and are left unchanged (a checkpoint
-// then merely bounds replay work by deduplication, not file size).
 func (l *Log) RewriteHead(keep uint64) error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
@@ -610,11 +632,8 @@ func (l *Log) RewriteHead(keep uint64) error {
 		l.mu.Unlock()
 		return err
 	}
-	base, committed, version := l.base, l.committed, l.version
+	base, committed := l.base, l.committed
 	l.mu.Unlock()
-	if version == 1 {
-		return nil
-	}
 	if keep > base+committed {
 		keep = base + committed
 	}
@@ -638,7 +657,7 @@ func (l *Log) RewriteHead(keep uint64) error {
 	prev := hdr.baseTS
 	off := hdr.len
 	for i := uint64(0); i < drop; i++ {
-		e, n, err := readRecord(r, l.schema, version, prev)
+		e, n, err := readRecord(r, l.schema, hdr.version, prev)
 		if err != nil {
 			rf.Close()
 			return fmt.Errorf("storage: log %s: decoding record %d for head truncation: %w", l.path, i, err)
@@ -653,10 +672,7 @@ func (l *Log) RewriteHead(keep uint64) error {
 		rf.Close()
 		return err
 	}
-	nh := append([]byte{}, logMagicV3...)
-	nh = stream.EncodeSchema(nh, l.schema)
-	nh = binary.AppendUvarint(nh, keep)
-	nh = binary.AppendVarint(nh, int64(prev))
+	nh := encodeLogHeader(l.schema, keep, prev)
 	_, err = w.Write(nh)
 	if err == nil {
 		if _, err = rf.Seek(off, io.SeekStart); err == nil {
@@ -700,7 +716,6 @@ func (l *Log) RewriteHead(keep uint64) error {
 	l.base = keep
 	l.recs -= drop
 	l.committed -= drop
-	l.version = 3
 	l.hdrLen = int64(len(nh))
 	l.tailBytes -= off - hdr.len
 	l.mu.Unlock()
@@ -802,7 +817,6 @@ func (l *Log) Reopen() (*logReplay, error) {
 	if len(rep.elems) > 0 {
 		l.lastTS = rep.elems[len(rep.elems)-1].Timestamp()
 	}
-	l.version = rep.version
 	l.hdrLen = rep.hdrLen
 	l.base = rep.base
 	l.recs = uint64(len(rep.elems))
@@ -831,18 +845,7 @@ func (l *Log) Recreate(baseSeq uint64) error {
 	if err != nil {
 		return err
 	}
-	var hdr []byte
-	version := 2
-	if baseSeq > 0 {
-		version = 3
-		hdr = append([]byte{}, logMagicV3...)
-		hdr = stream.EncodeSchema(hdr, l.schema)
-		hdr = binary.AppendUvarint(hdr, baseSeq)
-		hdr = binary.AppendVarint(hdr, 0)
-	} else {
-		hdr = append([]byte{}, logMagicV2...)
-		hdr = stream.EncodeSchema(hdr, l.schema)
-	}
+	hdr := encodeLogHeader(l.schema, baseSeq, 0)
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return err
@@ -855,7 +858,6 @@ func (l *Log) Recreate(baseSeq uint64) error {
 	l.buf = l.buf[:0]
 	l.dirty.Store(false)
 	l.lastTS = 0
-	l.version = version
 	l.hdrLen = int64(len(hdr))
 	l.base = baseSeq
 	l.recs = 0

@@ -59,7 +59,7 @@ type TableOptions struct {
 	// data directory.
 	Permanent bool
 	// Sync selects the WAL durability policy for a permanent table
-	// (descriptor attribute sync="always|interval|none"; default
+	// (descriptor attribute sync="always|interval|none|durable"; default
 	// SyncAlways).
 	Sync SyncPolicy
 	// FlushInterval tunes the SyncInterval group-commit period (zero
@@ -86,14 +86,6 @@ type TableOptions struct {
 	// disables the background loop — tests call Table.Recover
 	// directly).
 	RecoverInterval time.Duration
-	// IngestLanes enables the sharded ingest tier (descriptor attribute
-	// lanes="auto|N"): producers stage into per-core lanes and a single
-	// merge point commits them in batches, instead of every producer
-	// serialising on the table lock. Zero disables lanes (the default);
-	// AutoLanes (-1) sizes them from GOMAXPROCS; a positive value fixes
-	// the lane count. See lanes.go for the ordering and durability
-	// contract.
-	IngestLanes int
 }
 
 // CreateTable registers a new table. It fails if the name is taken.
@@ -214,13 +206,9 @@ func (s *Store) CreateTable(name string, schema *stream.Schema, opts TableOption
 		_ = storeEpoch(s.fs, epochPath, t.epoch)
 	}
 
-	if opts.IngestLanes != 0 {
-		// SyncAlways/SyncDurable publishes carry a commit-wait handshake
-		// so an acked append stays WAL-durable before return; other
-		// policies (and memory-only tables) ack lane-writer publishes on
-		// publish.
-		waitAck := t.log != nil && (opts.Sync == SyncAlways || opts.Sync == SyncDurable)
-		t.lanes = newIngestLanes(laneCount(opts.IngestLanes), laneRingSlots, waitAck)
+	if t.log != nil && opts.Sync == SyncDurable {
+		// Every commit pays a device sync: combine concurrent ones.
+		t.comb = &combiner{}
 	}
 
 	s.tables[canonical] = t

@@ -37,6 +37,10 @@
 //	SyncNone     write only on byte threshold and barriers
 //	SyncDurable  SyncAlways plus fdatasync — survives OS/power failure
 //
+// Under SyncDurable, concurrent Insert/InsertBatch calls combine into
+// one synced WAL group (see combine.go); every other policy commits
+// each call under the table lock.
+//
 // # Read concurrency
 //
 // Read-side methods (Len, Snapshot, Last, Since, Latest, ForEach) take
@@ -96,8 +100,6 @@ type TableStats struct {
 	WalReopens uint64
 	// History reports disk-tier counters; nil for tables without one.
 	History *HistoryStats
-	// Lanes reports ingest-lane counters; nil for tables without lanes.
-	Lanes *LaneStats
 }
 
 // Observer receives element lifecycle events from a table. Methods are
@@ -177,10 +179,10 @@ type Table struct {
 	// Written under mu, read under at least the shared lock.
 	version uint64
 
-	// lanes, when non-nil, is the sharded ingest tier in front of mu
-	// (TableOptions.IngestLanes; see lanes.go). Set once before the
-	// table is published, read without synchronisation.
-	lanes *ingestLanes
+	// comb, when non-nil, combines concurrent commits into one synced
+	// WAL group (SyncDurable tables; see combine.go). Set once before
+	// the table is published, read without synchronisation.
+	comb *combiner
 
 	// logErrors is atomic: background WAL flush failures are counted
 	// from the flusher goroutine without the table lock.
@@ -280,8 +282,8 @@ func (t *Table) Insert(e stream.Element) error {
 	if err := t.checkSchema(e); err != nil {
 		return err
 	}
-	if ls := t.lanes; ls != nil {
-		return t.laneInsert(ls, e)
+	if t.comb != nil {
+		return t.insertCombined(commitReq{one: e})
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -323,8 +325,8 @@ func (t *Table) InsertBatch(elems []stream.Element) error {
 			return err
 		}
 	}
-	if ls := t.lanes; ls != nil {
-		return t.laneInsertBatch(ls, elems)
+	if t.comb != nil {
+		return t.insertCombined(commitReq{batch: elems})
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -334,8 +336,8 @@ func (t *Table) InsertBatch(elems []stream.Element) error {
 // insertBatchLocked is the batch insert body (schemas pre-validated):
 // one WAL group append, then per-element window publishes so the
 // observer sees the canonical insert/evict interleaving. Caller holds
-// mu. The lane merge point reuses it verbatim, which is what keeps the
-// merged path's observer/checkpoint/epoch behaviour identical to
+// mu. The commit combiner reuses it verbatim, which is what keeps the
+// combined path's observer/checkpoint/epoch behaviour identical to
 // InsertBatch.
 func (t *Table) insertBatchLocked(elems []stream.Element) error {
 	if t.log != nil {
@@ -607,11 +609,8 @@ func (t *Table) Latest() (stream.Element, bool) {
 // truncated rows. A history table's disk tier is reinitialised to an
 // empty file in the same critical section: no pages or index nodes of
 // the truncated rows survive, and the sequence space restarts at zero
-// alongside the WAL's. Pending lane entries are merged first, so the
-// truncation boundary is well-defined: everything published before the
-// call is truncated with the rest.
+// alongside the WAL's.
 func (t *Table) Truncate() error {
-	t.DrainLanes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.evicted += uint64(t.liveLenLocked())
@@ -645,11 +644,8 @@ func (t *Table) Truncate() error {
 // barrier for permanent tables under SyncInterval/SyncNone. It is a
 // no-op for memory-only tables. While the table is degraded, Flush
 // reports the suspension: the caller must not assume durability until
-// a Flush succeeds again. Pending lane entries are merged first, so
-// Flush remains the full durability (and, for async lane writers,
-// visibility) barrier.
+// a Flush succeeds again.
 func (t *Table) Flush() error {
-	t.DrainLanes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.log == nil {
@@ -677,9 +673,8 @@ func (t *Table) HasHistory() bool {
 // to the un-checkpointed tail, so the next open replays O(tail) records
 // instead of the whole retention. It happens automatically when the
 // tail outgrows TableOptions.CheckpointBytes; tests and shutdown call
-// it directly. Pending lane entries are merged first.
+// it directly.
 func (t *Table) Checkpoint() error {
-	t.DrainLanes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.checkpointLocked()
@@ -793,10 +788,7 @@ func (t *Table) TimedRange(lo, hi stream.Timestamp) ([]stream.Element, error) {
 // observer. The current live contents are replayed into the observer as
 // inserts under the same critical section, so the observer's state
 // starts consistent with the window no matter when it is attached.
-// Pending lane entries are merged first so the replay misses nothing
-// already acknowledged.
 func (t *Table) SetObserver(o Observer) {
-	t.DrainLanes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.evictLocked()
@@ -898,10 +890,8 @@ func (t *Table) recoveryLoop(stop chan struct{}) {
 // restart performs, re-migrate file records the fallen-back tier
 // forgot, then re-append and flush the live window suffix past the
 // durable boundary so acknowledged rows still in RAM become durable
-// again. Lanes quiesce first: recovery must not race merge batches
-// into a WAL it is mid-way through reopening.
+// again.
 func (t *Table) Recover() error {
-	t.DrainLanes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.recoverLocked()
@@ -1039,9 +1029,6 @@ func (t *Table) Stats() TableStats {
 	})
 	st.LogErrors = t.logErrors.Load()
 	st.HistoryErrors = t.histErrors.Load()
-	if t.lanes != nil {
-		st.Lanes = t.lanes.stats()
-	}
 	if h != nil {
 		hs := h.Stats()
 		st.History = &hs
@@ -1051,13 +1038,8 @@ func (t *Table) Stats() TableStats {
 
 // Close releases the persistence log and history tier, if any. A
 // history table checkpoints first so a clean shutdown leaves an empty
-// WAL tail — the next open replays nothing. Lanes shut down first:
-// new publishes fail with os.ErrClosed and everything already
-// acknowledged is merged (and so durable) before the log closes.
+// WAL tail — the next open replays nothing.
 func (t *Table) Close() error {
-	if ls := t.lanes; ls != nil {
-		ls.shutdown(t)
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.recoverStop != nil {

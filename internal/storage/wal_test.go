@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -68,8 +69,8 @@ func TestReadLogHeaderShortReads(t *testing.T) {
 		if hdr.len <= int64(len(logMagic)) {
 			t.Fatalf("chunk=%d: implausible header offset %d", chunk, hdr.len)
 		}
-		if hdr.version != 2 {
-			t.Fatalf("chunk=%d: fresh log version = %d, want 2", chunk, hdr.version)
+		if hdr.version != 3 || hdr.base != 0 {
+			t.Fatalf("chunk=%d: fresh log version = %d base %d, want 3 base 0", chunk, hdr.version, hdr.base)
 		}
 	}
 }
@@ -460,8 +461,8 @@ func TestFailedCommitPoisonsLog(t *testing.T) {
 }
 
 // TestV1LogBackwardsCompat: logs written in the original full-record
-// format must still replay, and appends to them must keep the v1
-// format so the file stays self-consistent.
+// format must still replay; opening one for appends rewrites it in the
+// one write format (v3), after which appends continue in v3.
 func TestV1LogBackwardsCompat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.gsnlog")
 	// Hand-write a v1 log: v1 magic, schema, full element records.
@@ -496,7 +497,7 @@ func TestV1LogBackwardsCompat(t *testing.T) {
 		t.Fatalf("v1 arrival = %v, want 105", elems[0].Arrival())
 	}
 
-	// Appending through the WAL must continue the v1 format.
+	// Opening the log rewrites it as v3 and appends continue there.
 	log, err := OpenLog(path, tempSchema, LogOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -514,6 +515,91 @@ func TestV1LogBackwardsCompat(t *testing.T) {
 	}
 	if len(elems) != 4 || elems[3].Value(0) != int64(4) || elems[3].Timestamp() != 400 {
 		t.Fatalf("v1 replay after append = %v", elems)
+	}
+	for i, e := range elems[:3] {
+		if e.Value(0) != int64(i+1) || e.Timestamp() != stream.Timestamp((i+1)*100) {
+			t.Fatalf("converted record %d = %v", i, e)
+		}
+	}
+	f, err = os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h, err := readLogHeader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.version != 3 || h.base != 0 {
+		t.Fatalf("log after open = v%d base %d, want v3 base 0", h.version, h.base)
+	}
+	if _, err := os.Stat(path + ".rewrite"); !os.IsNotExist(err) {
+		t.Fatalf("rewrite temp file left behind: %v", err)
+	}
+}
+
+// TestV2LogReplaysAndAppends: a compact-record log without a header
+// base (version 2) replays, appends extend it in place, and Reset
+// rewrites it in the one write format (v3, base 0).
+func TestV2LogReplaysAndAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v2.gsnlog")
+	buf := append([]byte{}, logMagicV2...)
+	buf = stream.EncodeSchema(buf, tempSchema)
+	var prev stream.Timestamp
+	for i := int64(1); i <= 3; i++ {
+		e, _ := stream.NewElement(tempSchema, stream.Timestamp(i*100), i)
+		rec := stream.EncodeElementCompact(nil, e, prev)
+		prev = e.Timestamp()
+		buf = binary.AppendUvarint(buf, uint64(len(rec)))
+		buf = append(buf, rec...)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	header := func() logHeader {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		h, err := readLogHeader(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+
+	log, err := OpenLog(path, tempSchema, LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	e, _ := stream.NewElement(tempSchema, 400, int64(4))
+	if err := log.Append(e); err != nil {
+		t.Fatal(err)
+	}
+	_, elems, err := ReplayLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(elems) != 4 || elems[3].Timestamp() != 400 || elems[0].Value(0) != int64(1) {
+		t.Fatalf("v2 replay after append = %v", elems)
+	}
+	if h := header(); h.version != 2 {
+		t.Fatalf("appends must extend the v2 file in place, header is v%d", h.version)
+	}
+	if err := log.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if h := header(); h.version != 3 || h.base != 0 {
+		t.Fatalf("log after Reset = v%d base %d, want v3 base 0", h.version, h.base)
+	}
+	if err := log.Append(e); err != nil {
+		t.Fatal(err)
+	}
+	if _, elems, err := ReplayLog(path); err != nil || len(elems) != 1 || elems[0].Timestamp() != 400 {
+		t.Fatalf("replay after Reset and append = %v, %v", elems, err)
 	}
 }
 
