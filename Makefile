@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench benchsmoke examples-smoke docs-check chaos perfbench-test ci
+.PHONY: all build vet test race allocs bench benchsmoke examples-smoke docs-check chaos perfbench-test ci
 
 all: ci
 
@@ -15,6 +15,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# allocs runs the allocation tests (names containing "Allocs"): the
+# hot-path budgets in docs/architecture.md. They skip under -race,
+# which instruments allocations, so they need this run without it.
+allocs:
+	$(GO) test -count=1 -run Allocs ./...
 
 # The trigger-pipeline acceptance benchmark: the compiled zero-copy
 # path and the incremental path must beat the snapshot+re-plan path.
@@ -101,4 +107,4 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test -race ./...
 
 # ci is the tier-1 gate: everything a fresh clone must pass.
-ci: vet build race benchsmoke examples-smoke docs-check chaos perfbench-test
+ci: vet build race allocs benchsmoke examples-smoke docs-check chaos perfbench-test

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,7 +94,20 @@ type queryGroup struct {
 	// and the window qualify.
 	agg *sqlengine.AggMaintainer
 
-	subs map[int64]*ClientQuery
+	// subs lists the subscribers in registration order. Register and
+	// Unregister publish a new list under the repository's write lock
+	// and sweeps load it without the lock: Register appends past the
+	// end of the published list, Unregister publishes a copy, so no
+	// entry a sweep can see is ever written.
+	subs atomic.Pointer[[]*ClientQuery]
+}
+
+// subscribers returns the group's current subscriber list.
+func (g *queryGroup) subscribers() []*ClientQuery {
+	if p := g.subs.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // newAggMaintainer builds the incremental maintainer for an
@@ -131,17 +145,51 @@ type sensorQueries struct {
 	out    *storage.Table // output table; nil when registered without one
 	groups map[string]*queryGroup
 
+	// work lists the groups a sweep evaluates, in registration order. A
+	// sweep takes it under the read lock without copying: Register only
+	// appends, past the end any sweep can see, and dropping a group
+	// publishes a copy, so no entry a sweep can see is ever written.
+	work []*queryGroup
+	// obs lists the maintainers observing the output table; replaced,
+	// never modified.
+	obs []storage.Observer
+
 	// sweepPending coalesces scheduled sweeps: while a sweep is queued
 	// but has not started reading windows, further triggers collapse
 	// into it (mirroring the trigger pipeline's coalescing).
 	sweepPending atomic.Bool
 }
 
+// addObserver adds a maintainer to the output table's observer set and
+// replays the live window into it alone: the members already installed
+// mirror the window and keep their state.
+func (sq *sensorQueries) addObserver(o storage.Observer) {
+	sq.obs = append(slices.Clip(sq.obs), o)
+	sq.out.ReplaceObserver(fanout(sq.obs), o)
+}
+
+// removeObserver drops a maintainer from the observer set; nothing is
+// replayed.
+func (sq *sensorQueries) removeObserver(o storage.Observer) {
+	sq.obs = slices.DeleteFunc(slices.Clone(sq.obs), func(x storage.Observer) bool { return x == o })
+	sq.out.ReplaceObserver(fanout(sq.obs), nil)
+}
+
+// fanout is the one observer the table holds for a maintainer set.
+func fanout(obs []storage.Observer) storage.Observer {
+	switch len(obs) {
+	case 0:
+		return nil
+	case 1:
+		return obs[0]
+	}
+	return &fanoutObserver{obs: obs}
+}
+
 // fanoutObserver dispatches table lifecycle events to the aggregate
 // maintainers of every qualifying group on a sensor. The observer list
 // is immutable after construction — membership changes install a fresh
-// fanout via SetObserver, which replays the live window so every
-// maintainer restarts consistent.
+// fanout via ReplaceObserver.
 type fanoutObserver struct{ obs []storage.Observer }
 
 func (f *fanoutObserver) OnInsert(e stream.Element) {
@@ -305,7 +353,6 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 			sql:    sql,
 			sensor: canonical,
 			stmt:   stmt,
-			subs:   make(map[int64]*ClientQuery),
 		}
 		if sq.out != nil {
 			if plan, err := sqlengine.Compile(stmt,
@@ -315,8 +362,9 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 			}
 		}
 		sq.groups[sql] = g
+		sq.work = append(sq.work, g)
 		if g.agg != nil {
-			r.resetObserverLocked(sq)
+			sq.addObserver(g.agg)
 		}
 	}
 
@@ -330,51 +378,29 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 		group:        g,
 		seed:         splitmix64(uint64(r.nextID) * 2654435761),
 	}
-	g.subs[q.ID] = q
+	subs := append(g.subscribers(), q)
+	g.subs.Store(&subs)
 	r.queries[q.ID] = q
 	return q.ID, nil
-}
-
-// resetObserverLocked reinstalls the output table's fanout observer
-// from the sensor's current aggregate-maintained groups. SetObserver
-// replays the live window, so every maintainer restarts consistent
-// with it.
-func (r *QueryRepository) resetObserverLocked(sq *sensorQueries) {
-	if sq.out == nil {
-		return
-	}
-	var obs []storage.Observer
-	for _, g := range sq.groups {
-		if g.agg != nil {
-			obs = append(obs, g.agg)
-		}
-	}
-	switch len(obs) {
-	case 0:
-		sq.out.SetObserver(nil)
-	case 1:
-		sq.out.SetObserver(obs[0])
-	default:
-		sq.out.SetObserver(&fanoutObserver{obs: obs})
-	}
 }
 
 // resyncSensor rebuilds every maintainer watching the sensor from the
 // live window (SetObserver truncate+replays through the fanout), so
 // subtract-on-evict float drift cannot accumulate past the resync
-// bound on the client-query path either. Reinstalling the whole set
-// keeps the single-observer contract simple; a spurious concurrent
-// resync just replays twice, each time to a consistent state.
+// bound on the client-query path either. Replaying the whole set keeps
+// the single-observer contract simple; a spurious concurrent resync
+// just replays twice, each time to a consistent state.
 func (r *QueryRepository) resyncSensor(sensor string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if sq := r.bySensor[sensor]; sq != nil {
-		r.resetObserverLocked(sq)
+	if sq := r.bySensor[sensor]; sq != nil && sq.out != nil {
+		sq.out.SetObserver(fanout(sq.obs))
 	}
 }
 
-// Unregister removes a query in O(1): the per-sensor index is
-// map-backed, so no slice splice scans the sensor's query list.
+// Unregister removes a query. It copies the group's subscriber list,
+// and the sensor's group list when the group goes, so sweeps never
+// copy either.
 func (r *QueryRepository) Unregister(id int64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -384,16 +410,20 @@ func (r *QueryRepository) Unregister(id int64) error {
 	}
 	delete(r.queries, id)
 	g := q.group
-	delete(g.subs, id)
-	if len(g.subs) == 0 {
-		if sq := r.bySensor[q.Sensor]; sq != nil {
-			delete(sq.groups, g.sql)
-			if g.agg != nil {
-				r.resetObserverLocked(sq)
-			}
-			if len(sq.groups) == 0 {
-				delete(r.bySensor, q.Sensor)
-			}
+	sq := r.bySensor[q.Sensor]
+	if sq == nil {
+		return nil
+	}
+	subs := slices.DeleteFunc(slices.Clone(g.subscribers()), func(x *ClientQuery) bool { return x == q })
+	g.subs.Store(&subs)
+	if len(subs) == 0 {
+		delete(sq.groups, g.sql)
+		sq.work = slices.DeleteFunc(slices.Clone(sq.work), func(x *queryGroup) bool { return x == g })
+		if g.agg != nil {
+			sq.removeObserver(g.agg)
+		}
+		if len(sq.groups) == 0 {
+			delete(r.bySensor, q.Sensor)
 		}
 	}
 	return nil
@@ -410,9 +440,9 @@ func (r *QueryRepository) UnregisterSensor(sensor string) int {
 		return 0
 	}
 	n := 0
-	for _, g := range sq.groups {
-		for id := range g.subs {
-			delete(r.queries, id)
+	for _, g := range sq.work {
+		for _, q := range g.subscribers() {
+			delete(r.queries, q.ID)
 			n++
 		}
 	}
@@ -439,14 +469,6 @@ func (r *QueryRepository) GroupCount(sensor string) int {
 		return len(sq.groups)
 	}
 	return 0
-}
-
-// groupWork is one group plus its subscriber snapshot, taken under the
-// repository lock so evaluation runs without it (callbacks may
-// re-enter Register/Unregister).
-type groupWork struct {
-	g    *queryGroup
-	subs []*ClientQuery
 }
 
 // sharedWindow materialises the sensor's output window at most once
@@ -495,19 +517,11 @@ func (r *QueryRepository) EvaluateFor(sensor string, cat sqlengine.Catalog, opts
 	canonical := stream.CanonicalName(sensor)
 	r.mu.RLock()
 	sq := r.bySensor[canonical]
-	if sq == nil || len(sq.groups) == 0 {
+	if sq == nil || len(sq.work) == 0 {
 		r.mu.RUnlock()
 		return 0
 	}
-	out := sq.out
-	work := make([]groupWork, 0, len(sq.groups))
-	for _, g := range sq.groups {
-		subs := make([]*ClientQuery, 0, len(g.subs))
-		for _, q := range g.subs {
-			subs = append(subs, q)
-		}
-		work = append(work, groupWork{g: g, subs: subs})
-	}
+	out, work := sq.out, sq.work
 	r.mu.RUnlock()
 
 	start := time.Now()
@@ -530,7 +544,7 @@ func (r *QueryRepository) EvaluateFor(sensor string, cat sqlengine.Catalog, opts
 			if i >= len(work) {
 				return
 			}
-			evaluated.Add(int64(r.safeEvalGroup(work[i], shared, cat, opts)))
+			evaluated.Add(int64(r.safeEvalGroup(work[i], shared, opts)))
 			wg.Done()
 		}
 	}
@@ -609,32 +623,49 @@ func (r *QueryRepository) ScheduleSweep(sensor string, cat sqlengine.Catalog, op
 // the sweep, a pool worker, or — with the sweep's per-item completion
 // accounting — hang EvaluateFor. Panics are counted on
 // client_query_panics.
-func (r *QueryRepository) safeEvalGroup(w groupWork, shared *sharedWindow,
-	cat sqlengine.Catalog, opts sqlengine.Options) (n int) {
+func (r *QueryRepository) safeEvalGroup(g *queryGroup, shared *sharedWindow,
+	opts sqlengine.Options) (n int) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.metrics.Counter("client_query_panics").Inc()
 		}
 	}()
-	return r.evalGroup(w, shared, cat, opts)
+	return r.evalGroup(g, shared, opts)
 }
 
-// evalGroup evaluates one group once and fans the result out to the
-// subscribers whose sampling admitted this trigger. It returns the
-// number of subscriber queries served.
-func (r *QueryRepository) evalGroup(w groupWork, shared *sharedWindow,
-	cat sqlengine.Catalog, opts sqlengine.Options) int {
-	live := w.subs[:0:0]
-	for _, q := range w.subs {
-		if q.sample() {
-			live = append(live, q)
+// evalGroup evaluates one group once, when the first subscriber's
+// sampling admits this trigger, and fans the result out to every
+// admitted subscriber. It returns the number of subscriber queries
+// served.
+func (r *QueryRepository) evalGroup(g *queryGroup, shared *sharedWindow,
+	opts sqlengine.Options) int {
+	n := 0
+	var rel *sqlengine.Relation
+	var err error
+	var elapsed time.Duration
+	for _, q := range g.subscribers() {
+		if !q.sample() {
+			continue
+		}
+		if n == 0 {
+			rel, elapsed, err = r.evalOnce(g, shared, opts)
+		}
+		n++
+		q.evaluations.Add(1)
+		q.lastLatency.Store(int64(elapsed))
+		if err != nil {
+			q.errors.Add(1)
+		} else if q.cb != nil {
+			q.cb(rel)
 		}
 	}
-	if len(live) == 0 {
-		return 0
-	}
+	return n
+}
 
-	g := w.g
+// evalOnce evaluates a group's statement on its cheapest tier and
+// reports how long that took.
+func (r *QueryRepository) evalOnce(g *queryGroup, shared *sharedWindow,
+	opts sqlengine.Options) (*sqlengine.Relation, time.Duration, error) {
 	start := time.Now()
 	var rel *sqlengine.Relation
 	var err error
@@ -667,18 +698,7 @@ func (r *QueryRepository) evalGroup(w groupWork, shared *sharedWindow,
 		rel, err = sqlengine.Execute(g.stmt, shared.catalog(), opts)
 		r.tierGeneral.Inc()
 	}
-	elapsed := time.Since(start)
-
-	for _, q := range live {
-		q.evaluations.Add(1)
-		q.lastLatency.Store(int64(elapsed))
-		if err != nil {
-			q.errors.Add(1)
-		} else if q.cb != nil {
-			q.cb(rel)
-		}
-	}
-	return len(live)
+	return rel, time.Since(start), err
 }
 
 // EvaluateForSerial replicates the seed's evaluation strategy — every
@@ -695,10 +715,8 @@ func (r *QueryRepository) EvaluateForSerial(sensor string, cat sqlengine.Catalog
 		return 0
 	}
 	var list []*ClientQuery
-	for _, g := range sq.groups {
-		for _, q := range g.subs {
-			list = append(list, q)
-		}
+	for _, g := range sq.work {
+		list = append(list, g.subscribers()...)
 	}
 	r.mu.RUnlock()
 	sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })

@@ -523,3 +523,74 @@ func BenchmarkRepositorySweep(b *testing.B) {
 		}
 	})
 }
+
+// countingObserver counts the lifecycle events a table hands it.
+type countingObserver struct{ inserts, truncates int }
+
+func (o *countingObserver) OnInsert(stream.Element) { o.inserts++ }
+func (o *countingObserver) OnEvict(stream.Element)  {}
+func (o *countingObserver) OnTruncate()             { o.truncates++ }
+
+// TestObserverReplayPerAddedMaintainer: adding a maintainer replays the
+// live window into it alone, so N registrations over a W-row window
+// cost N·W replayed inserts, not O(N²·W); removing one replays
+// nothing; the float-drift resync still replays into every member.
+func TestObserverReplayPerAddedMaintainer(t *testing.T) {
+	const n, w = 6, 40
+	schema := stream.MustSchema(stream.Field{Name: "v", Type: stream.TypeInt})
+	table, err := storage.NewTable("t", schema,
+		stream.Window{Kind: stream.CountWindow, Count: w}, stream.NewManualClock(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(i int) {
+		e, err := stream.NewElement(schema, stream.Timestamp(i+1), int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := table.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*w; i++ {
+		insert(i)
+	}
+	sq := &sensorQueries{out: table}
+	obs := make([]*countingObserver, n)
+	for i := range obs {
+		obs[i] = &countingObserver{}
+		sq.addObserver(obs[i])
+	}
+	total := 0
+	for i, o := range obs {
+		if o.inserts != w || o.truncates != 1 {
+			t.Errorf("observer %d: %d inserts, %d truncates; want %d and 1", i, o.inserts, o.truncates, w)
+		}
+		total += o.inserts
+	}
+	if total != n*w {
+		t.Fatalf("%d registrations replayed %d inserts, want %d", n, total, n*w)
+	}
+
+	sq.removeObserver(obs[0])
+	insert(2 * w)
+	if obs[0].inserts != w {
+		t.Errorf("removed observer saw %d inserts, want %d", obs[0].inserts, w)
+	}
+	for i, o := range obs[1:] {
+		if o.inserts != w+1 {
+			t.Errorf("observer %d: %d inserts after removal and one insert, want %d", i+1, o.inserts, w+1)
+		}
+	}
+
+	r := NewQueryRepository(nil)
+	defer r.Close()
+	r.bySensor["T"] = sq
+	r.resyncSensor("T")
+	for i, o := range obs[1:] {
+		if o.inserts != 2*w+1 || o.truncates != 2 {
+			t.Errorf("observer %d after resync: %d inserts, %d truncates; want %d and 2",
+				i+1, o.inserts, o.truncates, 2*w+1)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gsn/internal/metrics"
 	"gsn/internal/quality"
 	"gsn/internal/resilience"
 	"gsn/internal/sqlengine"
@@ -45,6 +46,33 @@ type VirtualSensor struct {
 	statDropped   atomic.Uint64
 	statCoalesced atomic.Uint64
 	statLastError atomic.Value // string
+
+	m triggerMetrics
+}
+
+// triggerMetrics are the container instruments a sensor touches per
+// arrival, batch or trigger, resolved from the registry once at
+// construction: a registry lookup takes the registry's mutex.
+type triggerMetrics struct {
+	processingTime, triggerLatency       *metrics.Histogram
+	elementsProcessed, triggersCoalesced *metrics.Counter
+	ingestBatches, evalResyncs           *metrics.Counter
+	evalIncremental, evalCompiled        *metrics.Counter
+	evalGeneral                          *metrics.Counter
+}
+
+func newTriggerMetrics(reg *metrics.Registry) triggerMetrics {
+	return triggerMetrics{
+		processingTime:    reg.Histogram("processing_time"),
+		triggerLatency:    reg.Histogram("trigger_latency"),
+		elementsProcessed: reg.Counter("elements_processed"),
+		triggersCoalesced: reg.Counter("triggers_coalesced"),
+		ingestBatches:     reg.Counter("ingest_batches"),
+		evalResyncs:       reg.Counter("source_eval_resyncs"),
+		evalIncremental:   reg.Counter("source_eval_incremental"),
+		evalCompiled:      reg.Counter("source_eval_compiled"),
+		evalGeneral:       reg.Counter("source_eval_general"),
+	}
 }
 
 // inputStream is one <input-stream> at runtime.
@@ -170,6 +198,7 @@ func newVirtualSensor(c *Container, desc *vsensor.Descriptor, reuseOut *storage.
 		container: c,
 		outSchema: outSchema,
 		triggers:  make(chan trigger, triggerQueueSize(desc.LifeCycle.PoolSize)),
+		m:         newTriggerMetrics(c.metrics),
 	}
 	vs.statLastError.Store("")
 
@@ -370,7 +399,7 @@ func (vs *VirtualSensor) buildSource(in *inputStream, spec vsensor.StreamSource)
 			vs.recordError(err)
 			return
 		}
-		vs.container.metrics.Counter("ingest_batches").Inc()
+		vs.m.ingestBatches.Inc()
 		n := uint64(len(batch))
 		total := src.arrivals.Add(n)
 		slide := uint64(src.slide)
@@ -477,7 +506,7 @@ func (vs *VirtualSensor) enqueue(tr trigger) {
 	}
 	if !tr.stream.queued.CompareAndSwap(false, true) {
 		vs.statCoalesced.Add(1)
-		vs.container.metrics.Counter("triggers_coalesced").Inc()
+		vs.m.triggersCoalesced.Inc()
 		return
 	}
 	// The read lock brackets the send against stop()'s close: a
@@ -521,7 +550,7 @@ func (vs *VirtualSensor) enqueueCoalesced(tr trigger, n int) {
 			return
 		}
 		vs.statCoalesced.Add(uint64(n - 1))
-		vs.container.metrics.Counter("triggers_coalesced").Add(uint64(n - 1))
+		vs.m.triggersCoalesced.Add(uint64(n - 1))
 		tr.enqueued = time.Now()
 		vs.process(tr)
 		return
@@ -597,22 +626,32 @@ func (vs *VirtualSensor) process(tr trigger) {
 	start := time.Now()
 
 	// Steps 2+3: select each source's window and evaluate the source
-	// query into a temporary relation named by the alias.
-	temps := make(sqlengine.MapCatalog, len(tr.stream.sources))
+	// query into a temporary relation named by the alias. A compiled
+	// output query has one source and takes its rows directly, so only
+	// the general path builds the catalog of temporaries.
+	var temps sqlengine.MapCatalog
+	if tr.stream.plan == nil {
+		temps = make(sqlengine.MapCatalog, len(tr.stream.sources))
+	}
+	var srcRel *sqlengine.Relation
 	for _, src := range tr.stream.sources {
 		rel, err := vs.evalSource(src)
 		if err != nil {
 			vs.recordError(fmt.Errorf("core: %s/%s source query: %w", vs.name, src.alias, err))
 			return
 		}
-		temps[src.alias] = rel
+		if temps == nil {
+			srcRel = rel
+		} else {
+			temps[src.alias] = rel
+		}
 	}
 
 	// Step 4: the input stream's output query over the temporaries.
 	var outRel *sqlengine.Relation
 	var err error
 	if tr.stream.plan != nil {
-		outRel, err = tr.stream.plan.Execute(temps[tr.stream.sources[0].alias].Rows, c.engineOpts())
+		outRel, err = tr.stream.plan.Execute(srcRel.Rows, c.engineOpts())
 	} else {
 		outRel, err = sqlengine.Execute(tr.stream.stmt, temps, c.engineOpts())
 	}
@@ -666,9 +705,9 @@ func (vs *VirtualSensor) process(tr trigger) {
 		return
 	}
 
-	c.metrics.Histogram("processing_time").Observe(time.Since(start))
-	c.metrics.Histogram("trigger_latency").Observe(time.Since(tr.enqueued))
-	c.metrics.Counter("elements_processed").Inc()
+	vs.m.processingTime.Observe(time.Since(start))
+	vs.m.triggerLatency.Observe(time.Since(tr.enqueued))
+	vs.m.elementsProcessed.Inc()
 }
 
 // evalSource evaluates one source query over its current window.
@@ -679,7 +718,7 @@ func (vs *VirtualSensor) evalSource(src *sourceRuntime) (*sqlengine.Relation, er
 			// Bounded float drift: rebuild the aggregate state from the
 			// live window (SetObserver replays it under the table lock).
 			src.table.SetObserver(src.agg)
-			c.metrics.Counter("source_eval_resyncs").Inc()
+			vs.m.evalResyncs.Inc()
 		}
 		// Read under the table lock so the result reflects exactly the
 		// live window — never the instant between an insert and the
@@ -687,17 +726,17 @@ func (vs *VirtualSensor) evalSource(src *sourceRuntime) (*sqlengine.Relation, er
 		var rel *sqlengine.Relation
 		src.table.WithLock(func() { rel = src.agg.Result() })
 		if rel != nil {
-			c.metrics.Counter("source_eval_incremental").Inc()
+			vs.m.evalIncremental.Inc()
 			return rel, nil
 		}
 		// Poisoned maintainer: fall through so the full engine surfaces
 		// the underlying type error on the normal path.
 	}
 	if src.plan != nil {
-		c.metrics.Counter("source_eval_compiled").Inc()
+		vs.m.evalCompiled.Inc()
 		return src.plan.ExecuteSource(src.table, c.engineOpts())
 	}
-	c.metrics.Counter("source_eval_general").Inc()
+	vs.m.evalGeneral.Inc()
 	winRel := sqlengine.RelationOfSource(src.table)
 	cat := sqlengine.MapCatalog{
 		vsensor.WrapperTable(): winRel,

@@ -55,7 +55,8 @@ type SubscriptionStats struct {
 type Options struct {
 	// QueueSize bounds each subscription's event queue (default 256).
 	QueueSize int
-	// Retries is the per-event delivery retry count (default 2).
+	// Retries is the number of delivery attempts per event, the first
+	// included (default 2): Retries 3 tries an event at most three times.
 	Retries int
 	// RetryDelay sleeps between retries (default 10ms; tests use 0).
 	RetryDelay time.Duration
@@ -205,10 +206,13 @@ func (m *Manager) deliverLoop(sub *subscription) {
 		MaxAttempts: m.opts.Retries,
 		Seed:        sub.id,
 	}
-	for ev := range sub.queue {
-		err := resilience.Do(nil, policy, func() error {
-			return sub.channel.Deliver(ev)
-		})
+	// One closure per subscription, not per event: with the Backoff
+	// built only on a failure, a first-attempt delivery allocates
+	// nothing.
+	var ev Event
+	deliver := func() error { return sub.channel.Deliver(ev) }
+	for ev = range sub.queue {
+		err := resilience.Do(nil, policy, deliver)
 		if err != nil {
 			sub.failed.Add(1)
 		} else {

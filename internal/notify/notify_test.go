@@ -22,6 +22,9 @@ var nSchema = stream.MustSchema(
 	stream.Field{Name: "img", Type: stream.TypeBytes},
 )
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 func nElem(t *testing.T, ts stream.Timestamp, temp int64) stream.Element {
 	t.Helper()
 	e, err := stream.NewElement(nSchema, ts, temp, []byte{1, 2, 3})
@@ -324,5 +327,33 @@ func TestWebhookChannelErrorStatus(t *testing.T) {
 	ch := NewWebhookChannel(srv.URL)
 	if err := ch.Deliver(Event{Sensor: "S", Seq: 1, Element: nElem(t, 1, 1)}); err == nil {
 		t.Error("5xx response not reported as delivery failure")
+	}
+}
+
+// TestDeliveryAllocsNothing: once a subscription runs, publishing an
+// event and delivering it to a FuncChannel that allocates nothing
+// allocates nothing either: no retry Backoff on a first-attempt
+// success, no closure per event.
+func TestDeliveryAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	m := testManager()
+	defer m.Close()
+	got := make(chan struct{}, 1)
+	if _, err := m.Subscribe("S", FuncChannel{Fn: func(Event) error {
+		got <- struct{}{}
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	e := nElem(t, 1, 1)
+	m.Publish("S", e) // creates the sensor's sequence counter
+	<-got
+	if n := testing.AllocsPerRun(100, func() {
+		m.Publish("S", e)
+		<-got
+	}); n != 0 {
+		t.Fatalf("publish + delivery allocates %.1f times per event", n)
 	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package notify
+
+// The race detector instruments allocations, so allocation counts are
+// only meaningful without it.
+func init() { raceEnabled = true }

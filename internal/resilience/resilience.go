@@ -132,17 +132,18 @@ type Policy struct {
 // Do runs op until it returns nil, the policy's attempt or sleep budget
 // is exhausted, or stop closes. It returns nil on success and the last
 // error otherwise. A nil stop channel means the loop can only end by
-// success or budget.
+// success or budget. The Backoff is built on the first failure, so a
+// first-attempt success allocates nothing; its seeded delays are the
+// same as if it had been built up front.
 func Do(stop <-chan struct{}, p Policy, op func() error) error {
-	base := p.Base
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	cap := p.Cap
-	if cap <= 0 {
-		cap = 10 * base
-	}
-	bo := NewBackoff(base, cap, p.Seed)
+	return do(stop, p, op, sleep)
+}
+
+// do is Do with the wait between attempts passed in, so tests can
+// record the delays; wait reports false when stop closed first.
+func do(stop <-chan struct{}, p Policy, op func() error,
+	wait func(stop <-chan struct{}, d time.Duration) bool) error {
+	var bo *Backoff
 	var slept time.Duration
 	for attempt := 1; ; attempt++ {
 		err := op()
@@ -152,20 +153,40 @@ func Do(stop <-chan struct{}, p Policy, op func() error) error {
 		if p.MaxAttempts > 0 && attempt >= p.MaxAttempts {
 			return err
 		}
+		if bo == nil {
+			base := p.Base
+			if base <= 0 {
+				base = 50 * time.Millisecond
+			}
+			cap := p.Cap
+			if cap <= 0 {
+				cap = 10 * base
+			}
+			bo = NewBackoff(base, cap, p.Seed)
+		}
 		d := bo.Next()
 		if p.Budget > 0 && slept+d > p.Budget {
 			return err
 		}
 		slept += d
-		if stop == nil {
-			time.Sleep(d)
-			continue
-		}
-		select {
-		case <-stop:
+		if !wait(stop, d) {
 			return err
-		case <-time.After(d):
 		}
+	}
+}
+
+// sleep waits d, returning false early when stop closes (a nil stop
+// never closes).
+func sleep(stop <-chan struct{}, d time.Duration) bool {
+	if stop == nil {
+		time.Sleep(d)
+		return true
+	}
+	select {
+	case <-stop:
+		return false
+	case <-time.After(d):
+		return true
 	}
 }
 

@@ -2,9 +2,13 @@ package resilience
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
 
 func TestBackoffEscalatesToCap(t *testing.T) {
 	bo := NewBackoff(10*time.Millisecond, 100*time.Millisecond, 1)
@@ -189,5 +193,50 @@ func TestBreakerStateStrings(t *testing.T) {
 		if state.String() != want {
 			t.Errorf("%d.String() = %q, want %q", state, state.String(), want)
 		}
+	}
+}
+
+// TestDoDelaySequencePinned: Do under repeated failure waits the seeded
+// decorrelated-jitter sequence, the same delays an up-front
+// NewBackoff(base, cap, seed) hands out. Building the Backoff on the
+// first failure must not change them.
+func TestDoDelaySequencePinned(t *testing.T) {
+	for _, tc := range []struct {
+		p    Policy
+		want []time.Duration
+	}{
+		{Policy{Base: 10 * time.Millisecond, Cap: 400 * time.Millisecond, Seed: 42},
+			[]time.Duration{10000000, 12319565, 11542499, 24963208, 15154884, 45281190, 78785314, 51322192}},
+		// Cap defaults to 10*Base.
+		{Policy{Base: time.Millisecond, Seed: 7},
+			[]time.Duration{1000000, 2039507, 4171990, 1908527, 3540967, 5733824, 4724848, 9931327}},
+	} {
+		tc.p.MaxAttempts = len(tc.want) + 1
+		var got []time.Duration
+		calls := 0
+		err := do(nil, tc.p, func() error { calls++; return errors.New("down") },
+			func(_ <-chan struct{}, d time.Duration) bool { got = append(got, d); return true })
+		if err == nil || calls != tc.p.MaxAttempts {
+			t.Fatalf("%+v: err=%v after %d calls", tc.p, err, calls)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%+v: delays %v, want %v", tc.p, got, tc.want)
+		}
+	}
+}
+
+// TestDoSuccessAllocsNothing: a first-attempt success builds no Backoff.
+func TestDoSuccessAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p := Policy{Base: time.Millisecond, MaxAttempts: 3, Seed: 1}
+	op := func() error { return nil }
+	if n := testing.AllocsPerRun(100, func() {
+		if err := Do(nil, p, op); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("successful Do allocates %.1f times per call", n)
 	}
 }

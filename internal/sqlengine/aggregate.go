@@ -81,13 +81,60 @@ type aggState struct {
 // evicted and the deque front holds the oldest live extreme.
 type slideWin struct {
 	evicted uint64
-	deque   []seqValue
+	deque   ring[seqValue]
 }
 
 // seqValue is one deque entry: the input's position and value.
 type seqValue struct {
 	seq uint64
 	v   stream.Value
+}
+
+// ring is a double-ended queue over a circular buffer. It grows by
+// doubling only when full and keeps its storage as entries leave, so a
+// window sliding in steady state reuses it and allocates nothing.
+type ring[T any] struct {
+	buf  []T // len is 0 or a power of two
+	head int // index of the front entry
+	n    int
+}
+
+func (r *ring[T]) len() int { return r.n }
+
+func (r *ring[T]) front() T { return r.buf[r.head] }
+
+func (r *ring[T]) back() T { return r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
+
+func (r *ring[T]) pushBack(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(4, 2*len(r.buf)))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// popFront and popBack zero the vacated slot so the buffer pins no
+// evicted value.
+func (r *ring[T]) popFront() {
+	var zero T
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+}
+
+func (r *ring[T]) popBack() {
+	var zero T
+	r.n--
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = zero
+}
+
+// reset empties the ring and keeps its storage.
+func (r *ring[T]) reset() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
 }
 
 // int128 is an exact two's-complement sum of int64 values.
@@ -198,18 +245,18 @@ func (a *aggState) extreme(v stream.Value) error {
 		want, cur = 1, &a.max
 	}
 	if w := a.win; w != nil {
-		for len(w.deque) > 0 {
-			c, _, err := compare(v, w.deque[len(w.deque)-1].v)
+		for w.deque.len() > 0 {
+			c, _, err := compare(v, w.deque.back().v)
 			if err != nil {
 				return err
 			}
 			if c != want {
 				break
 			}
-			w.deque = w.deque[:len(w.deque)-1]
+			w.deque.popBack()
 		}
-		w.deque = append(w.deque, seqValue{seq: w.evicted + uint64(a.count), v: v})
-		*cur = w.deque[0].v
+		w.deque.pushBack(seqValue{seq: w.evicted + uint64(a.count), v: v})
+		*cur = w.deque.front().v
 		return nil
 	}
 	if *cur == nil {
@@ -249,8 +296,8 @@ func (a *aggState) evict(v stream.Value) error {
 		}
 	case aggMin, aggMax:
 		w := a.win
-		if len(w.deque) > 0 && w.deque[0].seq == w.evicted {
-			w.deque = w.deque[1:]
+		if w.deque.len() > 0 && w.deque.front().seq == w.evicted {
+			w.deque.popFront()
 		}
 		w.evicted++
 	}
@@ -259,12 +306,13 @@ func (a *aggState) evict(v stream.Value) error {
 	case a.count == 0:
 		*a = aggState{kind: a.kind, win: w}
 		if w != nil {
-			*w = slideWin{deque: w.deque[:0]}
+			w.evicted = 0
+			w.deque.reset()
 		}
 	case a.kind == aggMin:
-		a.min = w.deque[0].v
+		a.min = w.deque.front().v
 	case a.kind == aggMax:
-		a.max = w.deque[0].v
+		a.max = w.deque.front().v
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"strings"
 
 	"gsn/internal/sqlparser"
 	"gsn/internal/stream"
@@ -445,6 +446,9 @@ func (b *binder) bind(e sqlparser.Expr) boundExpr {
 }
 
 func (b *binder) bindBinary(x *sqlparser.BinaryExpr) boundExpr {
+	if k := b.bindColumnLiteral(x); k != nil {
+		return k
+	}
 	lf, rf := b.bind(x.L), b.bind(x.R)
 	if lf == nil || rf == nil {
 		return nil
@@ -507,27 +511,7 @@ func (b *binder) bindBinary(x *sqlparser.BinaryExpr) boundExpr {
 			if err != nil {
 				return nil, err
 			}
-			c, known, err := compare(lv, rv)
-			if err != nil {
-				return nil, err
-			}
-			if !known {
-				return nil, nil
-			}
-			switch op {
-			case sqlparser.OpEq:
-				return c == 0, nil
-			case sqlparser.OpNe:
-				return c != 0, nil
-			case sqlparser.OpLt:
-				return c < 0, nil
-			case sqlparser.OpLe:
-				return c <= 0, nil
-			case sqlparser.OpGt:
-				return c > 0, nil
-			default:
-				return c >= 0, nil
-			}
+			return compareOp(op, lv, rv)
 		}
 	case sqlparser.OpConcat:
 		return func(row []stream.Value, ctx *boundCtx) (stream.Value, error) {
@@ -557,6 +541,101 @@ func (b *binder) bindBinary(x *sqlparser.BinaryExpr) boundExpr {
 			return arith(op, lv, rv)
 		}
 	}
+}
+
+// compareOp applies a comparison operator with the interpreter's
+// semantics: a NULL operand yields NULL, incomparable types an error.
+func compareOp(op sqlparser.BinaryOp, a, b stream.Value) (stream.Value, error) {
+	c, known, err := compare(a, b)
+	if err != nil {
+		return nil, err
+	}
+	if !known {
+		return nil, nil
+	}
+	return cmpTruth(op, c), nil
+}
+
+// compareOperands is compareOp over (v, lit), or over (lit, v) when the
+// literal was the left operand.
+func compareOperands(op sqlparser.BinaryOp, v, lit stream.Value, flip bool) (stream.Value, error) {
+	if flip {
+		return compareOp(op, lit, v)
+	}
+	return compareOp(op, v, lit)
+}
+
+// cmpTruth reads a comparison operator off a three-way result.
+func cmpTruth(op sqlparser.BinaryOp, c int) bool {
+	switch op {
+	case sqlparser.OpEq:
+		return c == 0
+	case sqlparser.OpNe:
+		return c != 0
+	case sqlparser.OpLt:
+		return c < 0
+	case sqlparser.OpLe:
+		return c <= 0
+	case sqlparser.OpGt:
+		return c > 0
+	default:
+		return c >= 0
+	}
+}
+
+// bindColumnLiteral specialises column <op> literal and
+// literal <op> column, the filters registered queries are made of, for
+// int64 and string literals: one closure compares a row value of the
+// literal's own type directly and hands any other value (NULL, another
+// type) to compareOp in the statement's operand order, so results and
+// error texts match the generic path. It returns nil for every other
+// shape.
+func (b *binder) bindColumnLiteral(x *sqlparser.BinaryExpr) boundExpr {
+	switch x.Op {
+	case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
+	default:
+		return nil
+	}
+	colExpr, litExpr, flip := x.L, x.R, false
+	if _, ok := colExpr.(*sqlparser.Literal); ok {
+		colExpr, litExpr, flip = x.R, x.L, true
+	}
+	ref, ok := colExpr.(*sqlparser.ColumnRef)
+	if !ok {
+		return nil
+	}
+	lit, ok := litExpr.(*sqlparser.Literal)
+	if !ok {
+		return nil
+	}
+	idx, ok := b.columnIndex(ref.Table, ref.Name)
+	if !ok {
+		return nil
+	}
+	op, boxed := x.Op, lit.Value
+	// A three-way result of (column, literal) negates into (literal,
+	// column): both are -1, 0 or +1.
+	sign := 1
+	if flip {
+		sign = -1
+	}
+	switch want := boxed.(type) {
+	case int64:
+		return func(row []stream.Value, _ *boundCtx) (stream.Value, error) {
+			if v, ok := row[idx].(int64); ok {
+				return cmpTruth(op, sign*cmpInt(v, want)), nil
+			}
+			return compareOperands(op, row[idx], boxed, flip)
+		}
+	case string:
+		return func(row []stream.Value, _ *boundCtx) (stream.Value, error) {
+			if v, ok := row[idx].(string); ok {
+				return cmpTruth(op, sign*strings.Compare(v, want)), nil
+			}
+			return compareOperands(op, row[idx], boxed, flip)
+		}
+	}
+	return nil
 }
 
 func (b *binder) bindCase(x *sqlparser.CaseExpr) boundExpr {

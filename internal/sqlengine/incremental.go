@@ -63,7 +63,7 @@ const resyncFloatEvery = 65536
 // incGroup is the live state of one group-key vector.
 type incGroup struct {
 	keys   []stream.Value // the group's key values, in GROUP BY order
-	seqs   []uint64       // arrival sequences of the live rows (FIFO); keyed programs only
+	seqs   ring[uint64]   // arrival sequences of the live rows (FIFO); keyed programs only
 	states []aggState
 }
 
@@ -174,7 +174,7 @@ func (m *AggMaintainer) OnInsert(e stream.Element) {
 			g = m.prog.newGroup(append([]stream.Value(nil), m.keysBuf...), true)
 			m.groups[string(m.keyBuf)] = g
 		}
-		g.seqs = append(g.seqs, m.seq)
+		g.seqs.pushBack(m.seq)
 		m.seq++
 	}
 	if _, err := m.prog.fold(g, e, false); err != nil {
@@ -200,7 +200,7 @@ func (m *AggMaintainer) OnEvict(e stream.Element) {
 			m.broken = true
 			return
 		}
-		if g.seqs = g.seqs[1:]; len(g.seqs) == 0 {
+		if g.seqs.popFront(); g.seqs.len() == 0 {
 			delete(m.groups, string(m.keyBuf))
 		}
 	}
@@ -246,6 +246,6 @@ func (m *AggMaintainer) Result() *Relation {
 	for _, g := range m.groups {
 		ordered = append(ordered, g)
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seqs[0] < ordered[j].seqs[0] })
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seqs.front() < ordered[j].seqs.front() })
 	return m.prog.relation(ordered)
 }

@@ -788,17 +788,25 @@ func (t *Table) TimedRange(lo, hi stream.Timestamp) ([]stream.Element, error) {
 // observer. The current live contents are replayed into the observer as
 // inserts under the same critical section, so the observer's state
 // starts consistent with the window no matter when it is attached.
-func (t *Table) SetObserver(o Observer) {
+func (t *Table) SetObserver(o Observer) { t.ReplaceObserver(o, o) }
+
+// ReplaceObserver installs o (nil removes the observer) and replays the
+// live contents, as an OnTruncate followed by inserts, into replay only
+// (nil replays nothing), all under one critical section. Retention due
+// before the swap is reported to the outgoing observer. A caller that
+// adds one member to a fan-out whose other members already mirror the
+// window replays into the new member alone.
+func (t *Table) ReplaceObserver(o, replay Observer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.evictLocked()
 	t.observer = o
-	if o == nil {
+	if replay == nil {
 		return
 	}
-	o.OnTruncate()
+	replay.OnTruncate()
 	for i := t.head; i < len(t.elems); i++ {
-		o.OnInsert(t.elems[i])
+		replay.OnInsert(t.elems[i])
 	}
 }
 
