@@ -6,6 +6,7 @@ package gsn_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -429,18 +430,29 @@ func BenchmarkClientQueries(b *testing.B) {
 		"select value from q where value > 95",
 		"select count(*) from q where value between 20 and 60",
 	}
-	for i := 0; i < clients; i++ {
-		sql := duplicates[i%len(duplicates)]
+	texts := make([]string, clients)
+	for i := range texts {
+		texts[i] = duplicates[i%len(duplicates)]
 		if i%2 == 1 {
 			// Unique half: the upper bound exceeds the value domain, so
 			// it only makes the SQL text (the evaluation group) unique.
-			sql = fmt.Sprintf("select count(*), avg(value) from q where value > %d and value <= %d",
+			texts[i] = fmt.Sprintf("select count(*), avg(value) from q where value > %d and value <= %d",
 				i%97, 101+i)
 		}
+	}
+	// B/query is the heap the repository retains per registration (the
+	// caller's SQL text excluded).
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, sql := range texts {
 		if _, err := node.RegisterQuery("q", sql, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	bytesPerQuery := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / clients
 	c := node.Container()
 	repo := c.QueryRepositoryRef()
 	cat := c.Catalog()
@@ -459,7 +471,9 @@ func BenchmarkClientQueries(b *testing.B) {
 				b.Fatalf("evaluated %d of %d", n, clients)
 			}
 		}
+		b.ReportMetric(bytesPerQuery, "B/query")
 	})
+	runtime.KeepAlive(texts)
 }
 
 // BenchmarkClientQueriesGrouped extends the acceptance benchmark to

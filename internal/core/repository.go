@@ -83,12 +83,17 @@ type ClientQueryStats struct {
 type queryGroup struct {
 	sql    string
 	sensor string
-	stmt   *sqlparser.SelectStatement
 
 	// plan is the statement compiled against the sensor's output
 	// schema at Register time; nil when the shape needs the full
-	// engine (joins, subqueries, other tables).
-	plan *sqlengine.Plan
+	// engine (joins, other tables). A templated group shares its
+	// template's plan and supplies params, its own WHERE constants.
+	plan   *sqlengine.Plan
+	params []stream.Value
+	tmpl   *planTemplate // nil unless the group runs a shared template
+	// stmt is kept only for the general tier (plan == nil); the others
+	// keep no parsed statement.
+	stmt *sqlparser.SelectStatement
 	// agg incrementally maintains an aggregate-only plan, grouped or
 	// not, via the output table's observer hook; nil unless the shape
 	// and the window qualify.
@@ -100,6 +105,16 @@ type queryGroup struct {
 	// end of the published list, Unregister publishes a copy, so no
 	// entry a sweep can see is ever written.
 	subs atomic.Pointer[[]*ClientQuery]
+}
+
+// planTemplate is one compiled statement template shared by every
+// group whose text differs from it only in WHERE constants (see
+// sqlengine.Parameterize). refs counts those groups; the template goes
+// with its last one.
+type planTemplate struct {
+	sig  string
+	plan *sqlengine.Plan
+	refs int
 }
 
 // subscribers returns the group's current subscriber list.
@@ -142,8 +157,10 @@ func groupedKeysApproximate(prog *sqlengine.IncProgram, schema *stream.Schema) b
 
 // sensorQueries indexes the groups watching one sensor.
 type sensorQueries struct {
-	out    *storage.Table // output table; nil when registered without one
-	groups map[string]*queryGroup
+	out       *storage.Table     // output table; nil when registered without one
+	cols      []sqlengine.Column // out's column layout, shared by every plan
+	groups    map[string]*queryGroup
+	templates map[string]*planTemplate // by signature
 
 	// work lists the groups a sweep evaluates, in registration order. A
 	// sweep takes it under the read lock without copying: Register only
@@ -316,20 +333,17 @@ func (r *QueryRepository) Close() {
 // discard — the Figure 4 load shape). out is the sensor's output table;
 // when non-nil the statement is compiled against its schema so the
 // per-trigger path pays no planning, and aggregate-only shapes over a
-// count window are maintained incrementally. Callbacks of different
-// groups may run concurrently; a group's subscribers are invoked
-// sequentially and share the result relation read-only.
+// count window are maintained incrementally. Texts that differ only in
+// WHERE constants share one compiled statement template. Callbacks of
+// different groups may run concurrently; a group's subscribers are
+// invoked sequentially and share the result relation read-only.
 func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 	cb func(*sqlengine.Relation), out *storage.Table) (int64, error) {
-	if sampling < 0 || sampling > 1 {
+	if !(sampling >= 0 && sampling <= 1) {
 		return 0, fmt.Errorf("core: sampling rate %v outside [0,1]", sampling)
 	}
 	if sampling == 0 {
 		sampling = 1
-	}
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return 0, fmt.Errorf("core: client query: %w", err)
 	}
 	canonical := stream.CanonicalName(sensor)
 	if canonical == "" {
@@ -339,28 +353,28 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	sq := r.bySensor[canonical]
-	if sq == nil {
-		sq = &sensorQueries{groups: make(map[string]*queryGroup)}
-		r.bySensor[canonical] = sq
+	var g *queryGroup
+	if sq != nil {
+		g = sq.groups[sql]
 	}
-	if sq.out == nil {
-		sq.out = out
-	}
-
-	g := sq.groups[sql]
-	if g == nil {
-		g = &queryGroup{
-			sql:    sql,
-			sensor: canonical,
-			stmt:   stmt,
+	if g != nil {
+		sq.setOutput(out)
+	} else {
+		// Only a new text is parsed, and a failing parse leaves no
+		// per-sensor entry behind.
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			return 0, fmt.Errorf("core: client query: %w", err)
 		}
-		if sq.out != nil {
-			if plan, err := sqlengine.Compile(stmt,
-				sqlengine.ColumnsOfSchema(sq.out.Schema()), canonical); err == nil {
-				g.plan = plan
-				g.agg = newAggMaintainer(plan, sq.out.Window(), sq.out.Schema())
+		if sq == nil {
+			sq = &sensorQueries{
+				groups:    make(map[string]*queryGroup),
+				templates: make(map[string]*planTemplate),
 			}
+			r.bySensor[canonical] = sq
 		}
+		sq.setOutput(out)
+		g = sq.newGroup(sql, canonical, stmt)
 		sq.groups[sql] = g
 		sq.work = append(sq.work, g)
 		if g.agg != nil {
@@ -372,7 +386,7 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 	q := &ClientQuery{
 		ID:           r.nextID,
 		Sensor:       canonical,
-		SQL:          sql,
+		SQL:          g.sql,
 		SamplingRate: sampling,
 		cb:           cb,
 		group:        g,
@@ -382,6 +396,65 @@ func (r *QueryRepository) Register(sensor, sql string, sampling float64,
 	g.subs.Store(&subs)
 	r.queries[q.ID] = q
 	return q.ID, nil
+}
+
+// setOutput records the sensor's output table, and its column layout,
+// the first time a registration supplies one.
+func (sq *sensorQueries) setOutput(out *storage.Table) {
+	if sq.out == nil && out != nil {
+		sq.out = out
+		sq.cols = sqlengine.ColumnsOfSchema(out.Schema())
+	}
+}
+
+// newGroup builds the evaluation group of a new text. A statement with
+// WHERE constants whose template compiles to a bound program shares the
+// sensor's plan for that template; anything else compiles per text,
+// and a shape Compile rejects keeps its statement for the general tier.
+func (sq *sensorQueries) newGroup(sql, sensor string, stmt *sqlparser.SelectStatement) *queryGroup {
+	g := &queryGroup{sql: sql, sensor: sensor}
+	if sq.out == nil {
+		g.stmt = stmt
+		return g
+	}
+	if tmpl, params := sqlengine.Parameterize(stmt); len(params) > 0 {
+		sig := tmpl.String()
+		t := sq.templates[sig]
+		if t == nil {
+			if plan, err := sqlengine.Compile(tmpl, sq.cols, sensor); err == nil && plan.Params() == len(params) {
+				t = &planTemplate{sig: sig, plan: plan}
+				sq.templates[sig] = t
+			}
+		}
+		if t != nil {
+			t.refs++
+			g.plan, g.params, g.tmpl = t.plan, params, t
+			return g
+		}
+	}
+	plan, err := sqlengine.Compile(stmt, sq.cols, sensor)
+	if err != nil {
+		g.stmt = stmt
+		return g
+	}
+	g.plan = plan
+	g.agg = newAggMaintainer(plan, sq.out.Window(), sq.out.Schema())
+	return g
+}
+
+// dropGroup removes a group that lost its last subscriber, with its
+// template reference and maintainer.
+func (sq *sensorQueries) dropGroup(g *queryGroup) {
+	delete(sq.groups, g.sql)
+	sq.work = slices.DeleteFunc(slices.Clone(sq.work), func(x *queryGroup) bool { return x == g })
+	if t := g.tmpl; t != nil {
+		if t.refs--; t.refs == 0 {
+			delete(sq.templates, t.sig)
+		}
+	}
+	if g.agg != nil {
+		sq.removeObserver(g.agg)
+	}
 }
 
 // resyncSensor rebuilds every maintainer watching the sensor from the
@@ -417,11 +490,7 @@ func (r *QueryRepository) Unregister(id int64) error {
 	subs := slices.DeleteFunc(slices.Clone(g.subscribers()), func(x *ClientQuery) bool { return x == q })
 	g.subs.Store(&subs)
 	if len(subs) == 0 {
-		delete(sq.groups, g.sql)
-		sq.work = slices.DeleteFunc(slices.Clone(sq.work), func(x *queryGroup) bool { return x == g })
-		if g.agg != nil {
-			sq.removeObserver(g.agg)
-		}
+		sq.dropGroup(g)
 		if len(sq.groups) == 0 {
 			delete(r.bySensor, q.Sensor)
 		}
@@ -467,6 +536,17 @@ func (r *QueryRepository) GroupCount(sensor string) int {
 	defer r.mu.RUnlock()
 	if sq := r.bySensor[stream.CanonicalName(sensor)]; sq != nil {
 		return len(sq.groups)
+	}
+	return 0
+}
+
+// templateCount reports the number of shared statement templates held
+// for a sensor (for tests).
+func (r *QueryRepository) templateCount(sensor string) int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if sq := r.bySensor[stream.CanonicalName(sensor)]; sq != nil {
+		return len(sq.templates)
 	}
 	return 0
 }
@@ -691,7 +771,7 @@ func (r *QueryRepository) evalOnce(g *queryGroup, shared *sharedWindow,
 		var win *sqlengine.Relation
 		win, err = shared.relation()
 		if err == nil {
-			rel, err = g.plan.Execute(win.Rows, opts)
+			rel, err = g.plan.ExecuteParams(win.Rows, g.params, opts)
 			r.tierCompiled.Inc()
 		}
 	default:
@@ -727,7 +807,17 @@ func (r *QueryRepository) EvaluateForSerial(sensor string, cat sqlengine.Catalog
 			continue
 		}
 		start := time.Now()
-		rel, err := sqlengine.Execute(q.group.stmt, cat, opts)
+		var rel *sqlengine.Relation
+		var err error
+		stmt := q.group.stmt
+		if stmt == nil {
+			// The reference interpreter runs the group's original text,
+			// never a statement template.
+			stmt, err = sqlparser.Parse(q.group.sql)
+		}
+		if err == nil {
+			rel, err = sqlengine.Execute(stmt, cat, opts)
+		}
 		elapsed := time.Since(start)
 		q.evaluations.Add(1)
 		q.lastLatency.Store(int64(elapsed))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,7 +19,8 @@ import (
 )
 
 // deployVals builds a sensor whose output window holds integer source
-// values verbatim — the substrate for the client-query tests. Integer
+// values verbatim — the substrate for the client-query tests — beside
+// their exact halves (a float column) and a string label. Integer
 // inputs keep float aggregation exact, so the grouped/incremental and
 // serial interpreted paths must agree to the last byte even across
 // window eviction; the output is a count window so aggregate-only
@@ -37,6 +39,8 @@ func deployVals(t testing.TB, c *Container, rows int) {
 <virtual-sensor name="vals">
   <output-structure>
     <field name="value" type="integer"/>
+    <field name="half" type="double"/>
+    <field name="label" type="varchar"/>
   </output-structure>
   <storage size="100" />
   <input-stream name="in">
@@ -45,7 +49,7 @@ func deployVals(t testing.TB, c *Container, rows int) {
         <predicate key="file" val=%q/>
         <predicate key="types" val="integer"/>
       </address>
-      <query>select v as value from WRAPPER</query>
+      <query>select v as value, v / 2.0 as half, 'k' || (v %% 5) as label from WRAPPER</query>
     </stream-source>
     <query>select * from s</query>
   </input-stream>
@@ -58,8 +62,9 @@ func deployVals(t testing.TB, c *Container, rows int) {
 // clientQueryShapes covers every evaluation tier the repository
 // serves: incremental aggregates (ungrouped and grouped), compiled
 // plans with WHERE / GROUP BY / HAVING / ORDER BY / LIMIT, and
-// full-engine fallbacks (subquery).
-var clientQueryShapes = []string{
+// full-engine fallbacks (subquery), then the literal variants of
+// templateShared and templateDistinct.
+var clientQueryShapes = append([]string{
 	"select count(*), avg(value) from vals",                                                   // incremental
 	"select count(*) as n, min(value) as lo, max(value) as hi from vals",                      // incremental
 	"select value from vals where value > 5",                                                  // compiled filter
@@ -76,6 +81,61 @@ var clientQueryShapes = []string{
 	"select value, count(*) as n from vals group by value having count(*) > 1000",             // HAVING filters all groups
 	"select value, count(*) as n from vals where value > 100000 group by value",               // empty group set
 	"select value % 5 as b, max(value) as m from vals group by value % 5 order by m desc, b",  // grouped + ORDER BY
+}, templateVariants()...)
+
+// templateShared lists texts that differ only in WHERE constants, so
+// each set runs on one shared statement template: int and string
+// slots, literal <op> column order, AND/OR/NOT nesting, and int slots
+// against the float column (the compareOperands path).
+var templateShared = [][]string{
+	{"select value from vals where value > 60", "select value from vals where value > 7"},
+	{"select value, timed from vals where value <= 75 order by value desc",
+		"select value, timed from vals where value <= 3 order by value desc"},
+	{"select value, label from vals where label = 'k3'", "select value, label from vals where label = 'k1'"},
+	{"select count(*) as n, avg(value) as a from vals where 'k2' < label and 10 <= value",
+		"select count(*) as n, avg(value) as a from vals where 'k0' < label and 60 <= value"},
+	{"select value from vals where not (value < 20 or label = 'k4') and value <> 50",
+		"select value from vals where not (value < 70 or label = 'k0') and value <> 99"},
+	{"select value, half from vals where half > 20", "select value, half from vals where half > 33"},
+	{"select count(*) as n from vals where 12 >= half", "select count(*) as n from vals where 40 >= half"},
+	{"select label, count(*) as n, max(value) as m from vals where value >= 30 group by label",
+		"select label, count(*) as n, max(value) as m from vals where value >= 80 group by label"},
+}
+
+// templateDistinct lists pairs with equal WHERE clauses that must not
+// share a template: they differ in a constant outside WHERE.
+var templateDistinct = [][2]string{
+	{"select value % 7 as b, count(*) as n from vals where value > 10 group by value % 7",
+		"select value % 5 as b, count(*) as n from vals where value > 10 group by value % 5"},
+	{"select value from vals where value > 3 order by timed desc limit 3",
+		"select value from vals where value > 3 order by timed desc limit 4"},
+	{"select value, count(*) as n from vals where value > 2 group by value having count(*) > 1",
+		"select value, count(*) as n from vals where value > 2 group by value having count(*) > 2"},
+}
+
+// templateVariants lists the texts of templateShared and
+// templateDistinct.
+func templateVariants() []string {
+	var out []string
+	for _, set := range templateShared {
+		out = append(out, set...)
+	}
+	for _, pair := range templateDistinct {
+		out = append(out, pair[0], pair[1])
+	}
+	return out
+}
+
+// groupOf returns the evaluation group of a registered text.
+func groupOf(t *testing.T, repo *QueryRepository, sensor, sql string) *queryGroup {
+	t.Helper()
+	repo.mu.RLock()
+	defer repo.mu.RUnlock()
+	if sq := repo.bySensor[stream.CanonicalName(sensor)]; sq != nil && sq.groups[sql] != nil {
+		return sq.groups[sql]
+	}
+	t.Fatalf("no group for %q", sql)
+	return nil
 }
 
 // TestGroupedEvaluationMatchesSerial is the equivalence property test:
@@ -131,6 +191,20 @@ func TestGroupedEvaluationMatchesSerial(t *testing.T) {
 		}
 	}
 
+	for _, set := range templateShared {
+		first := groupOf(t, repo, "vals", set[0])
+		for _, sql := range set {
+			if g := groupOf(t, repo, "vals", sql); g.tmpl == nil || g.plan != first.plan {
+				t.Errorf("%q does not share the template of %q", sql, set[0])
+			}
+		}
+	}
+	for _, pair := range templateDistinct {
+		a, b := groupOf(t, repo, "vals", pair[0]), groupOf(t, repo, "vals", pair[1])
+		if a.tmpl == nil || b.tmpl == nil || a.plan == b.plan {
+			t.Errorf("%q and %q must run distinct templates", pair[0], pair[1])
+		}
+	}
 	if got := repo.GroupCount("vals"); got != len(clientQueryShapes) {
 		t.Errorf("GroupCount = %d, want %d (duplicates must dedupe)", got, len(clientQueryShapes))
 	}
@@ -178,6 +252,12 @@ func TestRepositoryConcurrentRegisterUnregister(t *testing.T) {
 			for op := 0; op < 400; op++ {
 				if len(ids) < 16 || rng.Intn(2) == 0 {
 					sql := clientQueryShapes[rng.Intn(len(clientQueryShapes))]
+					if rng.Intn(3) == 0 {
+						// Literal variants of one shape: each new text is a
+						// group on a template that dies with the last of them.
+						sql = fmt.Sprintf("select value, label from vals where value > %d and label <> 'k%d'",
+							rng.Intn(100), rng.Intn(5))
+					}
 					id, err := c.RegisterQuery("vals", sql, 0.5+rng.Float64()/2,
 						func(*sqlengine.Relation) { delivered.Add(1) })
 					if err != nil {
@@ -225,6 +305,9 @@ func TestRepositoryConcurrentRegisterUnregister(t *testing.T) {
 	}
 	if repo.Count() != 0 {
 		t.Errorf("Count = %d after all workers unregistered", repo.Count())
+	}
+	if n := repo.templateCount("vals"); n != 0 {
+		t.Errorf("%d templates survived their groups", n)
 	}
 	if delivered.Load() == 0 {
 		t.Error("no callback ever fired under the race")
@@ -313,6 +396,103 @@ func TestSamplingDeterministicAndUniform(t *testing.T) {
 	}
 	if q.draws.Load() != q2.draws.Load() {
 		t.Error("draw sequences diverged for identical seeds")
+	}
+}
+
+// TestSamplingRejectsOutOfRange: a rate outside [0,1], NaN included,
+// is refused (a NaN rate used to register and never evaluate).
+func TestSamplingRejectsOutOfRange(t *testing.T) {
+	c := testContainer(t)
+	deployVals(t, c, 20)
+	for _, rate := range []float64{math.NaN(), -0.5, 1.5, math.Inf(1)} {
+		if _, err := c.RegisterQuery("vals", "select count(*) from vals", rate, nil); err == nil {
+			t.Errorf("sampling rate %v accepted", rate)
+		}
+	}
+	if n := c.QueryRepositoryRef().Count(); n != 0 {
+		t.Errorf("%d queries registered with invalid rates", n)
+	}
+}
+
+// TestRegisterBadStatementLeavesNoEntry: a statement that fails to
+// parse returns the error and leaves no per-sensor state behind; a
+// later valid registration works.
+func TestRegisterBadStatementLeavesNoEntry(t *testing.T) {
+	c := testContainer(t)
+	deployVals(t, c, 20)
+	repo := c.QueryRepositoryRef()
+	if _, err := c.RegisterQuery("vals", "select from where", 1, nil); err == nil {
+		t.Fatal("a malformed statement registered")
+	}
+	if n := repo.GroupCount("vals"); n != 0 {
+		t.Errorf("GroupCount = %d after a failed registration", n)
+	}
+	repo.mu.RLock()
+	_, ok := repo.bySensor["VALS"]
+	repo.mu.RUnlock()
+	if ok {
+		t.Error("a failed registration left a per-sensor entry")
+	}
+	var n atomic.Value
+	if _, err := c.RegisterQuery("vals", "select count(*) as n from vals where value >= 0", 1,
+		func(rel *sqlengine.Relation) { n.Store(rel.Rows[0][0]) }); err != nil {
+		t.Fatal(err)
+	}
+	c.Pulse()
+	if got := n.Load(); got != int64(1) {
+		t.Errorf("count after one pulse = %v, want 1", got)
+	}
+}
+
+// TestTemplateLifecycle: a template lives exactly as long as one of its
+// groups; registering and unregistering every literal variant leaves
+// none behind.
+func TestTemplateLifecycle(t *testing.T) {
+	c := testContainer(t)
+	deployVals(t, c, 20)
+	repo := c.QueryRepositoryRef()
+	all := templateVariants()
+	ids := make(map[string][]int64)
+	for _, sql := range all {
+		for k := 0; k < 2; k++ {
+			id, err := c.RegisterQuery("vals", sql, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[sql] = append(ids[sql], id)
+		}
+	}
+	if want := len(templateShared) + 2*len(templateDistinct); repo.templateCount("vals") != want {
+		t.Fatalf("templateCount = %d, want %d", repo.templateCount("vals"), want)
+	}
+	// Keep one subscriber of one variant: its template must survive
+	// every other variant and the other subscriber.
+	keep := templateShared[0][1]
+	for _, sql := range all {
+		for i, id := range ids[sql] {
+			if sql == keep && i == 0 {
+				continue
+			}
+			if err := repo.Unregister(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := repo.templateCount("vals"); n != 1 {
+		t.Fatalf("templateCount = %d with one variant left, want 1", n)
+	}
+	if g := groupOf(t, repo, "vals", keep); g.tmpl == nil || g.tmpl.refs != 1 {
+		t.Fatalf("surviving group lost its template")
+	}
+	c.Pulse()
+	if err := repo.Unregister(ids[keep][0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := repo.templateCount("vals"); n != 0 {
+		t.Errorf("templateCount = %d after every variant left, want 0", n)
+	}
+	if n := repo.GroupCount("vals"); n != 0 {
+		t.Errorf("GroupCount = %d after every variant left, want 0", n)
 	}
 }
 

@@ -54,8 +54,9 @@ type boundExpr func(row []stream.Value, ctx *boundCtx) (stream.Value, error)
 
 // boundCtx carries per-execution state for bound expressions.
 type boundCtx struct {
-	ev  *evaluator     // scalar functions (NOW needs the clock)
-	agg []stream.Value // per-group aggregate results by slot
+	ev     *evaluator     // scalar functions (NOW needs the clock)
+	agg    []stream.Value // per-group aggregate results by slot
+	params []stream.Value // parameter values by slot (statement templates)
 }
 
 // boundProj is one compiled projection slot.
@@ -90,6 +91,7 @@ type boundProgram struct {
 	groupBy []boundExpr // GROUP BY key expressions, row context
 	having  boundExpr   // post-aggregation predicate (agg slots + rep row)
 	grouped bool
+	nparams int // parameter slots the program reads
 }
 
 // newBoundProgram binds sp against cols, returning nil when any part
@@ -157,14 +159,17 @@ func newBoundProgram(sp *simplePlan, cols []Column) *boundProgram {
 			prog.order = append(prog.order, bo)
 		}
 	}
+	prog.nparams = b.nparams
 	return prog
 }
 
 // binder compiles expressions against one column layout. aggs, when
-// set, maps aggregate call nodes (by identity) to result slots.
+// set, maps aggregate call nodes (by identity) to result slots; nparams
+// counts the parameter slots bound so far.
 type binder struct {
-	cols []Column
-	aggs []*sqlparser.FuncCall
+	cols    []Column
+	aggs    []*sqlparser.FuncCall
+	nparams int
 }
 
 // columnIndex mirrors Relation.ColumnIndex against the binder layout.
@@ -588,8 +593,10 @@ func cmpTruth(op sqlparser.BinaryOp, c int) bool {
 // int64 and string literals: one closure compares a row value of the
 // literal's own type directly and hands any other value (NULL, another
 // type) to compareOp in the statement's operand order, so results and
-// error texts match the generic path. It returns nil for every other
-// shape.
+// error texts match the generic path. A template's *sqlparser.Param
+// operand binds the same way, reading its value from the execution's
+// parameter vector; a value of another kind than the slot's also goes
+// to compareOp. It returns nil for every other shape.
 func (b *binder) bindColumnLiteral(x *sqlparser.BinaryExpr) boundExpr {
 	switch x.Op {
 	case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
@@ -597,14 +604,11 @@ func (b *binder) bindColumnLiteral(x *sqlparser.BinaryExpr) boundExpr {
 		return nil
 	}
 	colExpr, litExpr, flip := x.L, x.R, false
-	if _, ok := colExpr.(*sqlparser.Literal); ok {
+	switch x.L.(type) {
+	case *sqlparser.Literal, *sqlparser.Param:
 		colExpr, litExpr, flip = x.R, x.L, true
 	}
 	ref, ok := colExpr.(*sqlparser.ColumnRef)
-	if !ok {
-		return nil
-	}
-	lit, ok := litExpr.(*sqlparser.Literal)
 	if !ok {
 		return nil
 	}
@@ -612,27 +616,56 @@ func (b *binder) bindColumnLiteral(x *sqlparser.BinaryExpr) boundExpr {
 	if !ok {
 		return nil
 	}
-	op, boxed := x.Op, lit.Value
+	op := x.Op
 	// A three-way result of (column, literal) negates into (literal,
 	// column): both are -1, 0 or +1.
 	sign := 1
 	if flip {
 		sign = -1
 	}
-	switch want := boxed.(type) {
-	case int64:
-		return func(row []stream.Value, _ *boundCtx) (stream.Value, error) {
-			if v, ok := row[idx].(int64); ok {
-				return cmpTruth(op, sign*cmpInt(v, want)), nil
+	switch lit := litExpr.(type) {
+	case *sqlparser.Literal:
+		boxed := lit.Value
+		switch want := boxed.(type) {
+		case int64:
+			return func(row []stream.Value, _ *boundCtx) (stream.Value, error) {
+				if v, ok := row[idx].(int64); ok {
+					return cmpTruth(op, sign*cmpInt(v, want)), nil
+				}
+				return compareOperands(op, row[idx], boxed, flip)
 			}
-			return compareOperands(op, row[idx], boxed, flip)
+		case string:
+			return func(row []stream.Value, _ *boundCtx) (stream.Value, error) {
+				if v, ok := row[idx].(string); ok {
+					return cmpTruth(op, sign*strings.Compare(v, want)), nil
+				}
+				return compareOperands(op, row[idx], boxed, flip)
+			}
 		}
-	case string:
-		return func(row []stream.Value, _ *boundCtx) (stream.Value, error) {
-			if v, ok := row[idx].(string); ok {
-				return cmpTruth(op, sign*strings.Compare(v, want)), nil
+	case *sqlparser.Param:
+		slot := lit.Index
+		b.nparams = max(b.nparams, slot+1)
+		switch lit.Kind {
+		case sqlparser.ParamInt:
+			return func(row []stream.Value, ctx *boundCtx) (stream.Value, error) {
+				boxed := ctx.params[slot]
+				v, ok1 := row[idx].(int64)
+				want, ok2 := boxed.(int64)
+				if ok1 && ok2 {
+					return cmpTruth(op, sign*cmpInt(v, want)), nil
+				}
+				return compareOperands(op, row[idx], boxed, flip)
 			}
-			return compareOperands(op, row[idx], boxed, flip)
+		case sqlparser.ParamString:
+			return func(row []stream.Value, ctx *boundCtx) (stream.Value, error) {
+				boxed := ctx.params[slot]
+				v, ok1 := row[idx].(string)
+				want, ok2 := boxed.(string)
+				if ok1 && ok2 {
+					return cmpTruth(op, sign*strings.Compare(v, want)), nil
+				}
+				return compareOperands(op, row[idx], boxed, flip)
+			}
 		}
 	}
 	return nil
@@ -699,9 +732,14 @@ func (b *binder) bindCase(x *sqlparser.CaseExpr) boundExpr {
 
 // run executes the bound program over the input rows, mirroring
 // runSimple + execGrouped for the compiled subset.
-func (prog *boundProgram) run(p *Plan, rows [][]stream.Value, opts Options) (*Relation, error) {
-	ev := &evaluator{opts: opts, clock: opts.Clock}
-	ctx := &boundCtx{ev: ev}
+func (prog *boundProgram) run(p *Plan, rows [][]stream.Value, params []stream.Value, opts Options) (*Relation, error) {
+	// One allocation holds the evaluator and the context.
+	state := &struct {
+		ev  evaluator
+		ctx boundCtx
+	}{ev: evaluator{opts: opts, clock: opts.Clock}, ctx: boundCtx{params: params}}
+	ev, ctx := &state.ev, &state.ctx
+	ctx.ev = ev
 	sp := p.sp
 	out := &Relation{Cols: sp.outCols}
 	var sortKeys [][]stream.Value

@@ -13,7 +13,8 @@ import (
 // value and error text, for every comparison operator, row values of
 // every type against int64, float64 and string literals, in both
 // operand orders. The compiled plan and the interpreter must agree on
-// the same statements.
+// the same statements. A template's parameter slot of either kind,
+// handed each literal's value, must bind and agree too.
 func TestColumnLiteralKernelsMatchGeneric(t *testing.T) {
 	cols := []Column{{Name: "V"}}
 	values := []stream.Value{int64(-3), int64(5), int64(9), float64(5), float64(5.5),
@@ -51,6 +52,17 @@ func TestColumnLiteralKernelsMatchGeneric(t *testing.T) {
 					}
 					kernel = b.bind(x) // the generic closure
 				}
+				params := make([]boundExpr, 2)
+				for kind := range params {
+					p := &sqlparser.Param{Kind: sqlparser.ParamKind(kind)}
+					px := &sqlparser.BinaryExpr{Op: x.Op, L: x.L, R: p}
+					if flip {
+						px = &sqlparser.BinaryExpr{Op: x.Op, L: p, R: x.R}
+					}
+					if params[kind] = b.bindColumnLiteral(px); params[kind] == nil {
+						t.Fatalf("%s: no kernel for a %s slot", expr, p.Kind)
+					}
+				}
 				plan, err := Compile(stmt, cols, "w")
 				if err != nil {
 					t.Fatalf("%s: compile: %v", expr, err)
@@ -65,6 +77,13 @@ func TestColumnLiteralKernelsMatchGeneric(t *testing.T) {
 					want, wantErr := compareOp(x.Op, l, r)
 					if g, w := outcome(got, gotErr), outcome(want, wantErr); g != w {
 						t.Errorf("%s with v=%#v: kernel %s, generic %s", expr, v, g, w)
+					}
+					for kind, pk := range params {
+						got, gotErr := pk(row, &boundCtx{params: []stream.Value{litVal}})
+						if g, w := outcome(got, gotErr), outcome(want, wantErr); g != w {
+							t.Errorf("%s with v=%#v through a %s slot: kernel %s, generic %s",
+								expr, v, sqlparser.ParamKind(kind), g, w)
+						}
 					}
 					rel := &Relation{Cols: cols, Rows: [][]stream.Value{row}}
 					compiled, cErr := plan.Execute(rel.Rows, Options{})

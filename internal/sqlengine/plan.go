@@ -204,6 +204,17 @@ func incrementalProgram(sp *simplePlan, inCols []Column) *IncProgram {
 // AggMaintainer observing the window table.
 func (p *Plan) Incremental() *IncProgram { return p.inc }
 
+// Params returns the number of parameter slots the plan reads. Only a
+// bound program reads any: a template whose program does not bind
+// reports 0, and executing it fails, because the interpreter does not
+// evaluate a *sqlparser.Param.
+func (p *Plan) Params() int {
+	if p.prog == nil {
+		return 0
+	}
+	return p.prog.nparams
+}
+
 // OutputColumns returns the plan's projected column layout.
 func (p *Plan) OutputColumns() []Column { return p.sp.outCols }
 
@@ -234,16 +245,27 @@ func (p *Plan) ExecuteSource(src ElementSource, opts Options) (*Relation, error)
 // for). It mirrors Execute's tail — ORDER BY and LIMIT/OFFSET — but
 // skips all per-call planning.
 func (p *Plan) Execute(rows [][]stream.Value, opts Options) (*Relation, error) {
+	return p.ExecuteParams(rows, nil, opts)
+}
+
+// ExecuteParams is Execute for a plan compiled from a statement
+// template (see Parameterize): params holds one value per parameter
+// slot, in slot order. The plan stays immutable, so one template plan
+// serves many parameter vectors concurrently.
+func (p *Plan) ExecuteParams(rows [][]stream.Value, params []stream.Value, opts Options) (*Relation, error) {
 	if opts.Clock == nil {
 		opts.Clock = stream.SystemClock()
 	}
 	if opts.MaxRows <= 0 {
 		opts.MaxRows = defaultMaxRows
 	}
+	if len(params) != p.Params() {
+		return nil, fmt.Errorf("sqlengine: plan takes %d parameters, got %d", p.Params(), len(params))
+	}
 	// Compiled subset: run the bound program (no name resolution, no
 	// scope allocation, no per-call planning).
 	if p.prog != nil {
-		return p.prog.run(p, rows, opts)
+		return p.prog.run(p, rows, params, opts)
 	}
 	// Subqueries in expression position resolve the base tables through
 	// the catalog, so rebind them to the same live rows.

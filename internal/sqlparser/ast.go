@@ -229,6 +229,39 @@ func (e *Literal) String() string {
 	}
 }
 
+// ParamKind is the type of a parameter slot's value.
+type ParamKind uint8
+
+// Parameter slot kinds: the literal types a statement template lifts
+// out of its WHERE comparisons.
+const (
+	ParamInt ParamKind = iota
+	ParamString
+)
+
+func (k ParamKind) String() string {
+	if k == ParamString {
+		return "string"
+	}
+	return "int"
+}
+
+// Param is a typed parameter slot of a statement template: it stands
+// for the Index-th literal lifted out of the statement, whose value is
+// supplied with each execution. The parser never produces it.
+type Param struct {
+	Index int
+	Kind  ParamKind
+}
+
+func (*Param) exprNode() {}
+
+// String prints the slot with its kind, so templates whose literals
+// differ in type never print alike.
+func (e *Param) String() string {
+	return "$" + strconv.Itoa(e.Index+1) + ":" + e.Kind.String()
+}
+
 // BinaryOp enumerates binary operators.
 type BinaryOp int
 
