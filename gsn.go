@@ -97,9 +97,6 @@ type NodeOptions struct {
 	// SyncProcessing processes triggers inline for deterministic
 	// simulation (tests, benchmarks).
 	SyncProcessing bool
-	// DisableHashJoin switches the SQL engine to nested-loop joins
-	// (ablation knob).
-	DisableHashJoin bool
 	// SignKeyID signs outgoing peer streams with this keyring entry.
 	SignKeyID string
 	// Peers lists cluster peer base URLs (e.g. "http://host:22001").
@@ -147,14 +144,13 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	registry := wrappers.Default().Clone()
 
 	coreOpts := core.Options{
-		Name:            opts.Name,
-		Clock:           clock,
-		DataDir:         opts.DataDir,
-		Registry:        registry,
-		NodeAddress:     opts.Advertise,
-		Directory:       dir,
-		SyncProcessing:  opts.SyncProcessing,
-		DisableHashJoin: opts.DisableHashJoin,
+		Name:           opts.Name,
+		Clock:          clock,
+		DataDir:        opts.DataDir,
+		Registry:       registry,
+		NodeAddress:    opts.Advertise,
+		Directory:      dir,
+		SyncProcessing: opts.SyncProcessing,
 	}
 	if opts.Logger != nil {
 		coreOpts.Logger = opts.Logger

@@ -55,8 +55,6 @@ type Options struct {
 	// goroutine instead of through the worker pool. Deterministic mode
 	// for tests and benchmarks.
 	SyncProcessing bool
-	// DisableHashJoin forces nested-loop joins (ablation knob).
-	DisableHashJoin bool
 	// MaxQueryRows bounds query results (0 = engine default).
 	MaxQueryRows int
 	// Logger receives warnings and supervision events; nil silences
@@ -199,9 +197,8 @@ func New(opts Options) (*Container, error) {
 // engineOpts builds the SQL engine options for this container.
 func (c *Container) engineOpts() sqlengine.Options {
 	return sqlengine.Options{
-		Clock:           c.clock,
-		DisableHashJoin: c.opts.DisableHashJoin,
-		MaxRows:         c.opts.MaxQueryRows,
+		Clock:   c.clock,
+		MaxRows: c.opts.MaxQueryRows,
 	}
 }
 

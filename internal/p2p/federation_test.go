@@ -312,6 +312,76 @@ func TestFederationGroupByEquivalence(t *testing.T) {
 	}
 }
 
+// TestFederationPartialBytesFlat: partial-aggregate shipping moves
+// bytes in proportion to the group count, the raw-row union fallback in
+// proportion to the window volume. At 2 owners, doubling the rows per
+// owner must leave the partial bytes per query near flat while the
+// union bytes grow with the rows, and partials must stay a small
+// fraction of the union.
+func TestFederationPartialBytesFlat(t *testing.T) {
+	const (
+		rooms            = 8
+		maxPartialGrowth = 1.5
+		minUnionGrowth   = 1.5
+		maxPartialShare  = 0.2
+	)
+	// bytesPerQuery assembles 2 owners holding rowsPerOwner rows each
+	// and a coordinator with no window of its own, and returns the bytes
+	// one distributed GROUP BY moves through each transport.
+	bytesPerQuery := func(rowsPerOwner int) (partial, union uint64) {
+		clock := stream.NewManualClock(1_000_000)
+		coord := newFedNode(t, "coord", clock, wrappers.NewRegistry(), nil)
+		for i := 0; i < 2; i++ {
+			rows := make([][]stream.Value, rowsPerOwner)
+			for j := range rows {
+				rows[j] = []stream.Value{fmt.Sprintf("r%d", j%rooms), int64(j), float64(j%4) / 4}
+			}
+			owner := newFedNode(t, fmt.Sprintf("owner-%d", i), clock,
+				feedRegistry(map[string]*feedWrapper{"metrics": {clock: clock, rows: rows}}), nil)
+			if err := owner.c.DeployXML([]byte(feedDescriptor("metrics", "metrics"))); err != nil {
+				t.Fatal(err)
+			}
+			owner.produce(clock, "metrics", rowsPerOwner)
+			coord.fed.AddPeer(owner.url)
+		}
+		coord.fed.GossipRound()
+		run := func(sql string) core.ClusterInfo {
+			t.Helper()
+			rel, err := coord.c.Query(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+			if len(rel.Rows) != rooms {
+				t.Fatalf("%s: %d groups, want %d", sql, len(rel.Rows), rooms)
+			}
+			return coord.fed.Info()
+		}
+		before := coord.fed.Info()
+		mid := run("select room, count(*) as n, sum(v) as total, avg(v) as mean from metrics group by room order by room")
+		// DISTINCT is not distributable, so the same rollup takes the
+		// union fallback.
+		after := run("select room, count(distinct v) as u from metrics group by room order by room")
+		if mid.UnionBytes != before.UnionBytes || after.PartialBytes != mid.PartialBytes {
+			t.Fatalf("a query took the other transport: before %+v, mid %+v, after %+v", before, mid, after)
+		}
+		return mid.PartialBytes - before.PartialBytes, after.UnionBytes - mid.UnionBytes
+	}
+	p1, u1 := bytesPerQuery(500)
+	p2, u2 := bytesPerQuery(1000)
+	t.Logf("partial %d -> %d B, union %d -> %d B", p1, p2, u1, u2)
+	if g := float64(p2) / float64(p1); g >= maxPartialGrowth {
+		t.Errorf("doubling the rows grew partial bytes %.2fx, want < %.1fx", g, maxPartialGrowth)
+	}
+	if g := float64(u2) / float64(u1); g <= minUnionGrowth {
+		t.Errorf("doubling the rows grew union bytes %.2fx, want > %.1fx", g, minUnionGrowth)
+	}
+	for _, c := range []struct{ partial, union uint64 }{{p1, u1}, {p2, u2}} {
+		if share := float64(c.partial) / float64(c.union); share >= maxPartialShare {
+			t.Errorf("partial/union = %d/%d = %.3f, want < %.1f", c.partial, c.union, share, maxPartialShare)
+		}
+	}
+}
+
 // TestFederationRoutedQuery: a non-distributable statement against a
 // sensor with exactly one remote owner and no local window routes whole
 // to the owner and comes back typed — identical to asking the owner

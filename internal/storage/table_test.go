@@ -437,3 +437,50 @@ func TestTimeWindowBoundaryEviction(t *testing.T) {
 		t.Errorf("live at second boundary = %d, want 0", got)
 	}
 }
+
+// TestIngestAllocs: once the window has grown to its steady size,
+// Insert and InsertBatch allocate nothing, on a memory-only table and on
+// a permanent sync="interval" table, whose WAL appends reuse the log's
+// buffer. BenchmarkIngest times the same cells.
+func TestIngestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const window = 1000
+	memory, err := NewTable("memory", prodSchema, stream.Window{Kind: stream.CountWindow, Count: window}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, _ := newProdStore(t)
+	defer store.Close()
+	interval, err := store.CreateTable("interval", prodSchema, prodOptions(SyncInterval, window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := prodElem(1, 0, 0)
+	batch := make([]stream.Element, 64)
+	for i := range batch {
+		batch[i] = e
+	}
+	for _, tab := range []*Table{memory, interval} {
+		for i := 0; i < 2*window; i++ { // grow the window slice to its steady size
+			if err := tab.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			if err := tab.Insert(e); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Insert allocates %.1f times per call", tab.Name(), n)
+		}
+		if n := testing.AllocsPerRun(1000, func() {
+			if err := tab.InsertBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: InsertBatch of %d allocates %.1f times per call", tab.Name(), len(batch), n)
+		}
+	}
+}

@@ -4,7 +4,7 @@
 // for TinyOS motes, wireless cameras and RFID readers; this package
 // provides deterministic simulations of those platforms (the paper's
 // experiments only require the devices as timed producers of elements
-// of a given size — see DESIGN.md §1) plus generic utility wrappers.
+// of a given size) plus generic utility wrappers.
 //
 // Adding a platform means implementing Wrapper (typically 100–200 lines,
 // matching the paper's reported effort) and registering a factory.
